@@ -23,7 +23,8 @@ from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
 from .nonmarkov import markovian_boundary, nm_measure, sign_map
 from .spectrum import (DEFAULT_MIN_PROMINENCE, classify, coherent_frequency,
                        detrend, dft, dominant_peak, threshold_frequency)
-from .trajectories import DEFAULT_BIN_WIDTH, estimate_flux, sample_jump_times
+from .trajectories import (DEFAULT_BIN_WIDTH, estimate_flux, philox_keys,
+                           sample_jump_times)
 
 FIGURE_IDS = (1, 2, 3, 4)
 
@@ -80,8 +81,10 @@ class SweepConfig:
 
 
 def _cell_seed(master_seed: int, cell_index: int) -> int:
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(cell_index,))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    # key word 0 is SeedSequence(master_seed, spawn_key=(cell_index,))
+    # .generate_state(1, np.uint64)[0]
+    key = philox_keys(master_seed, np.array([cell_index], dtype=np.uint32))
+    return int(key[0][0])
 
 
 def _sweep_cell(config: SweepConfig, delta: float, v: float,

@@ -14,12 +14,19 @@ the time-step bias of per-step Bernoulli sampling.
 
 Per-trajectory generators are Philox streams keyed by (master_seed,
 trajectory index), so records are reproducible regardless of execution
-order or worker count.
+order or worker count.  The streams are numpy's
+``Philox(SeedSequence(master_seed, spawn_key=(index,)))``, unchanged, but
+every trajectory's first draw is computed together: the SeedSequence hash
+and the Philox4x64-10 block are evaluated as uint32/uint64 array
+arithmetic over all indices at once, bit for bit equal to numpy's own
+per-trajectory draw.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -31,6 +38,9 @@ from .dynamics import (DEFAULT_DT, FluxSeries, ModelParams,
 
 JUMP_TOL = 1e-10   # time tolerance of the jump-time bisection
 DEFAULT_BIN_WIDTH = 0.1
+# jumps.csv rows are formatted and written this many at a time: one write
+# per block, without holding a string per trajectory for the whole record
+_CSV_BLOCK_ROWS = 1024
 
 
 class InvalidBinning(ValueError):
@@ -45,9 +55,120 @@ class PartialBinWarning(UserWarning):
     """The horizon is not an integer number of bins; tail dropped."""
 
 
+# trajectory indices are single-word spawn keys of the SeedSequence hash
+MAX_TRAJECTORIES = 2 ** 32
+
+# numpy's SeedSequence hash (after O'Neill's seed_seq), all mod 2^32
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC'11): round multipliers
+# and the Weyl increments of the key schedule
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_ROUNDS = 10
+
+
 def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     """Deterministic per-trajectory seed, independent of scheduling."""
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
+
+
+def _uint32_words(seed) -> list:
+    """A non-negative int as little-endian 32-bit words, as numpy splits it."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    return words
+
+
+class _HashMix:
+    """numpy's ``hashmix`` on uint32 arrays, with its running multiplier."""
+
+    def __init__(self, init: int, mult: int):
+        self.const, self.mult = init, mult
+
+    def __call__(self, value):
+        value = value ^ self.const
+        self.const = self.const * self.mult & _MASK32
+        value = value * self.const
+        return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
+
+
+def philox_keys(master_seed: int, indices: np.ndarray):
+    """Philox keys of ``trajectory_seed(master_seed, i)`` for uint32 indices.
+
+    Returns the two uint64 key words that
+    ``trajectory_seed(master_seed, i).generate_state(2, np.uint64)``
+    gives, for every i at once: numpy's ``mix_entropy`` over the master
+    seed's words (padded to the pool size, as a spawn key is present)
+    followed by the spawn index, then ``generate_state``.
+    """
+    # the master seed's words are shared by every index: one-element
+    # arrays that broadcast once the index word is mixed in
+    words = [np.array([w], dtype=np.uint32)
+             for w in _uint32_words(master_seed)]
+    words += [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - len(words))
+    words.append(indices)
+    hashmix = _HashMix(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashout = _HashMix(_INIT_B, _MULT_B)
+    state = [hashout(p).astype(np.uint64) for p in pool]
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+def _mulhilo(a, b):
+    """High and low 64-bit words of the 128-bit product of uint64 a, b."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    cross = ((a_lo * b_lo >> 32) + (a_hi * b_lo & _MASK32)
+             + (a_lo * b_hi & _MASK32))
+    hi = (a_hi * b_hi + (a_hi * b_lo >> 32) + (a_lo * b_hi >> 32)
+          + (cross >> 32))
+    return hi, a * b
+
+
+def _philox4x64(counter, key):
+    """Philox4x64-10 output block of a 4-word counter under uint64 keys."""
+    k0, k1 = key
+    c0, c1, c2, c3 = (np.full_like(k0, c) for c in counter)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3
+
+
+def trajectory_uniforms(master_seed: int, n_traj: int) -> np.ndarray:
+    """Each trajectory's draw u in (0, 1], for indices 0 .. n_traj - 1.
+
+    u[i] equals ``1 - Generator(Philox(trajectory_seed(master_seed, i)))
+    .random()``: a fresh Philox steps its counter to (1, 0, 0, 0) and
+    ``random()`` maps output word 0 to (x >> 11) * 2**-53.
+    """
+    key = philox_keys(master_seed, np.arange(n_traj, dtype=np.uint32))
+    x = _philox4x64((1, 0, 0, 0), key)[0]
+    return 1.0 - (x >> 11) * 2.0 ** -53
 
 
 def _trajectory_rng(seed) -> np.random.Generator:
@@ -95,9 +216,11 @@ class JumpRecord:
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write("trajectory_index,jump_time\n")
-            for i, jt in enumerate(self.jump_times):
-                jtxt = "" if np.isnan(jt) else f"{jt:.17g}"
-                fh.write(f"{i},{jtxt}\n")
+            for start in range(0, self.jump_times.size, _CSV_BLOCK_ROWS):
+                block = self.jump_times[start:start + _CSV_BLOCK_ROWS]
+                fh.write("".join(
+                    f"{i},\n" if math.isnan(jt) else f"{i},{jt:.17g}\n"
+                    for i, jt in enumerate(block.tolist(), start)))
 
     def manifest(self, bin_width=None) -> dict:
         p = self.params
@@ -167,12 +290,12 @@ def sample_jump_times(params: ModelParams, n_traj: int, master_seed: int,
     """Emission-time record for n_traj independent trajectories."""
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+    if n_traj > MAX_TRAJECTORIES:
+        raise ValueError(
+            f"n_traj must be <= {MAX_TRAJECTORIES}, got {n_traj}")
+    us = trajectory_uniforms(master_seed, n_traj)
     times = time_grid(params.t_max, dt)
     n2 = np.minimum.accumulate(survival_at(params, times))
-    us = np.empty(n_traj)
-    for i in range(n_traj):
-        us[i] = _trajectory_rng(trajectory_seed(master_seed, i)).random()
-    us = 1.0 - us
     jump_times = _invert_survival(params, times, n2, us)
     return JumpRecord(jump_times=jump_times, params=params,
                       master_seed=int(master_seed), n_traj=int(n_traj))

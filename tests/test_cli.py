@@ -132,6 +132,14 @@ def test_mcwf_rejects_empty_ensemble(tmp_path):
     assert "n-traj" in err
 
 
+def test_mcwf_rejects_negative_seed(tmp_path):
+    code, _, err = run_cli("mcwf", "--v", "1", "--delta", "0",
+                           "--n-traj", "5", "--seed", "-3",
+                           "--out", str(tmp_path / "m"))
+    assert code == 2
+    assert "non-negative" in err
+
+
 def test_measure_json():
     code, stdout, _ = run_cli("measure", "--v", "1", "--delta", "0")
     assert code == 0

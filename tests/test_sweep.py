@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from cavityflux.sweep import (
     SweepConfig,
     UnknownFigure,
+    _cell_seed,
     figure_datasets,
     run_sweep,
 )
@@ -112,6 +113,14 @@ def test_error_isolation():
     assert cells[1]["verdict"] == "Markovian"   # the sweep carries on
     assert not region.all_ok
     assert len(region.errors) == 1
+
+
+@pytest.mark.parametrize("master_seed,cell_index",
+                         [(0, 0), (7, 3), (2**40, 99), (2**64 + 1, 2499)])
+def test_cell_seed_is_numpy_seed_sequence_word(master_seed, cell_index):
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(cell_index,))
+    assert _cell_seed(master_seed, cell_index) == int(
+        seq.generate_state(1, dtype=np.uint64)[0])
 
 
 def test_worker_count_does_not_change_results(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,17 +11,21 @@ from numpy.testing import assert_allclose, assert_array_equal
 import cavityflux
 from cavityflux.dynamics import ModelParams
 from cavityflux.trajectories import (
+    MAX_TRAJECTORIES,
     GridMismatch,
     InvalidBinning,
     PartialBinWarning,
     _invert_survival,
+    _philox4x64,
     analytic_flux_at_bins,
     estimate_flux,
     flux_residual_stats,
+    philox_keys,
     sample_jump_times,
     simulate_trajectory,
     survival_at,
     trajectory_seed,
+    trajectory_uniforms,
 )
 
 STRONG = ModelParams(v=1.0, delta=0.0)
@@ -41,6 +46,69 @@ def test_trajectory_seed_streams():
     x, y, z = a.random(4), b.random(4), c.random(4)
     assert_array_equal(x, y)
     assert not np.array_equal(x, z)
+
+
+def _numpy_uniform(master_seed, index):
+    rng = np.random.Generator(np.random.Philox(trajectory_seed(master_seed,
+                                                               index)))
+    return 1.0 - rng.random()
+
+
+# 2**130 + 77 spans five 32-bit words: longer than the SeedSequence pool,
+# so the master seed is not padded before the spawn index
+@pytest.mark.parametrize("master_seed",
+                         [0, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 77])
+def test_uniforms_match_numpy_streams(master_seed):
+    rng = np.random.default_rng(master_seed % 1000)
+    n = 4000
+    indices = rng.choice(n, 64, replace=False)
+    us = trajectory_uniforms(master_seed, n)
+    assert us.shape == (n,)
+    assert_array_equal(us[indices],
+                       [_numpy_uniform(master_seed, int(i)) for i in indices])
+    # keys over the whole single-word index range, the top included
+    high = np.append(rng.integers(MAX_TRAJECTORIES, size=31,
+                                  dtype=np.uint32), np.uint32(2**32 - 1))
+    k0, k1 = philox_keys(master_seed, high)
+    expected = np.array([trajectory_seed(master_seed, int(i))
+                         .generate_state(2, np.uint64) for i in high])
+    assert_array_equal(k0, expected[:, 0])
+    assert_array_equal(k1, expected[:, 1])
+
+
+@pytest.mark.parametrize("name", ["philox-testset-1.csv",
+                                  "philox-testset-2.csv"])
+def test_philox_block_matches_numpy_vectors(name):
+    path = Path(np.random.__file__).parent / "tests" / "data" / name
+    if not path.exists():
+        pytest.skip(f"numpy installed without its test data ({name})")
+    lines = path.read_text().splitlines()
+    seed = int(lines[0].split(",")[1], 0)
+    outputs = [int(line.split(",")[1], 0) for line in lines[1:]]
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    # a fresh Philox steps its counter before each block: blocks 1, 2, ...
+    drawn = []
+    for block in range(1, len(outputs) // 4 + 1):
+        words = _philox4x64((block, 0, 0, 0), (key[:1], key[1:]))
+        drawn.extend(int(w[0]) for w in words)
+    assert drawn == outputs
+
+
+def test_record_uses_numpy_trajectory_streams():
+    record = sample_jump_times(STRONG, 60, master_seed=17)
+    times = np.arange(0, 14001) * 1e-3
+    n2 = np.minimum.accumulate(survival_at(STRONG, times))
+    us = np.array([_numpy_uniform(17, i) for i in range(60)])
+    assert_array_equal(record.jump_times,
+                       _invert_survival(STRONG, times, n2, us))
+
+
+def test_sample_input_guards():
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_jump_times(STRONG, 5, master_seed=-3)
+    # rejected before any per-trajectory array exists
+    with pytest.raises(ValueError, match="n_traj must be <="):
+        sample_jump_times(STRONG, MAX_TRAJECTORIES + 1, master_seed=0)
 
 
 def test_zero_coupling_never_jumps():
@@ -215,6 +283,13 @@ def test_record_csv(tmp_path):
     assert len(lines) == 26
     n_empty = sum(1 for line in lines[1:] if line.endswith(","))
     assert n_empty == 25 - record.n_jumps
+    # row by row, the reference format; 2500 rows span three write blocks
+    for record in (record, sample_jump_times(STRONG, 2500, master_seed=8)):
+        record.to_csv(path)
+        expected = "trajectory_index,jump_time\n" + "".join(
+            f"{i},{'' if np.isnan(jt) else format(jt, '.17g')}\n"
+            for i, jt in enumerate(record.jump_times))
+        assert path.read_text() == expected
 
 
 def test_manifest(tmp_path):
