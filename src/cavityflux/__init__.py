@@ -10,7 +10,7 @@ from .dynamics import (AmplitudeSeries, FluxSeries, ModelParams,
 from .nonmarkov import (BoundaryCurve, NMResult, SignMap,
                         UnsupportedInitialState, is_nonmarkovian,
                         markovian_boundary, mode_gain_values, nm_measure,
-                        sigma_values, sign_map)
+                        sigma_positive, sigma_values, sign_map)
 from .spectrum import (EmptyRegion, NoSignal, PeakEstimate, RegionVerdict,
                        SpectrumResult, ThresholdFrequency, classify,
                        coherent_frequency, detrend, dft, dominant_peak,
@@ -36,7 +36,7 @@ __all__ = [
     "dft", "dominant_peak", "estimate_flux", "figure_datasets", "flux_at",
     "flux_residual_stats", "is_nonmarkovian", "markovian_boundary",
     "mode_gain_values", "nm_measure", "photon_flux_analytic", "run_sweep",
-    "sample_jump_times", "sigma_values", "sign_map", "simulate_trajectory",
-    "splitting", "survival_at", "threshold_frequency", "time_grid",
-    "trajectory_seed", "__version__",
+    "sample_jump_times", "sigma_positive", "sigma_values", "sign_map",
+    "simulate_trajectory", "splitting", "survival_at",
+    "threshold_frequency", "time_grid", "trajectory_seed", "__version__",
 ]

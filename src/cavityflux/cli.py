@@ -5,8 +5,8 @@ sweep, figures.  Physics flags are in units of gamma; --gamma rescales
 on input so outputs come out in absolute units.  Each subcommand takes
 --config JSON with the same keys as its flags; explicit flags win.
 
-Exit codes: 0 success, 1 numerical/detection failure under --strict,
-2 usage error.
+Exit codes: 0 success, 1 numerical/detection failure (NoSignal,
+EmptyRegion, GridMismatch, failed sweep cells, --strict), 2 usage error.
 """
 
 from __future__ import annotations
@@ -20,14 +20,15 @@ import numpy as np
 
 from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
                        amplitude_series, photon_flux_analytic)
-from .nonmarkov import (BOUNDARY_DT, BOUNDARY_T_MAX, is_nonmarkovian,
+from .nonmarkov import (BOUNDARY_DT, BOUNDARY_T_MAX, BOUNDARY_TOL_V,
                         markovian_boundary, nm_measure)
-from .spectrum import (DEFAULT_MIN_PROMINENCE, NoSignal, classify, detrend,
-                       dft, dominant_peak, threshold_frequency)
+from .spectrum import (DEFAULT_MIN_PROMINENCE, EmptyRegion, NoSignal,
+                       classify, detrend, dft, dominant_peak,
+                       threshold_frequency)
 from .sweep import SweepConfig, figure_datasets, run_sweep
-from .trajectories import (DEFAULT_BIN_WIDTH, analytic_flux_at_bins,
-                           estimate_flux, flux_residual_stats,
-                           sample_jump_times)
+from .trajectories import (DEFAULT_BIN_WIDTH, GridMismatch,
+                           analytic_flux_at_bins, estimate_flux,
+                           flux_residual_stats, sample_jump_times)
 
 
 class CliError(ValueError):
@@ -163,7 +164,7 @@ def cmd_boundary(args, parser) -> int:
         deltas,
         v_search=(float(_merge(args, config, "v_lo", 0.05)) * gamma,
                   float(_merge(args, config, "v_hi", 1.2)) * gamma),
-        tol_v=float(_merge(args, config, "tol", 1e-3)) * gamma,
+        tol_v=float(_merge(args, config, "tol", BOUNDARY_TOL_V)) * gamma,
         gamma=gamma,
         t_max=float(_merge(args, config, "t_max", BOUNDARY_T_MAX)) / gamma,
         dt=float(_merge(args, config, "dt", BOUNDARY_DT)) / gamma,
@@ -198,11 +199,13 @@ def cmd_classify(args, parser) -> int:
     if omega_threshold is None and not args.auto_threshold:
         raise CliError("either --omega-threshold or --auto-threshold required")
     if omega_threshold is None:
-        deltas = np.linspace(0.0, 2.0 * params.gamma,
+        gamma = params.gamma
+        deltas = np.linspace(0.0, 2.0 * gamma,
                              int(_merge(args, config, "boundary_points", 41)))
         boundary = markovian_boundary(
-            deltas, v_search=(0.05 * params.gamma, 1.2 * params.gamma),
-            gamma=params.gamma)
+            deltas, v_search=(0.05 * gamma, 1.2 * gamma),
+            tol_v=BOUNDARY_TOL_V * gamma, gamma=gamma,
+            t_max=BOUNDARY_T_MAX / gamma, dt=BOUNDARY_DT / gamma)
         omega_threshold = threshold_frequency(boundary).omega_m
     verdict = classify(params, float(omega_threshold),
                        min_prominence=float(_merge(args, config,
@@ -325,6 +328,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
+    except (NoSignal, EmptyRegion, GridMismatch) as exc:
+        print(f"error: {exc}", file=sys.stderr)    # numerical failure
+        return 1
     except (CliError, ValueError, OSError, json.JSONDecodeError) as exc:
         parser.error(str(exc))       # prints usage, exits 2
     except Exception as exc:         # numerical failure

@@ -12,23 +12,35 @@ removes quadrature error.  Revival detection on the grid uses the strict
 sign of sigma: near the boundary revivals are exponentially small in
 Gamma t but keep a clean floating-point sign, while any absolute cutoff
 would swallow them and bias the boundary location.
+
+The Markovian boundary needs only that sign, so its bisection probes
+scan sigma_positive, which drops the decaying envelopes and cannot
+overflow at any horizon.  Each probe scans the first SCAN_HEAD samples
+first and stops at a revival there; only probes without one scan the
+rest of the grid.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
-                       amplitude_derivatives, amplitudes_analytic, time_grid)
+from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, SERIES_SWITCH, ModelParams,
+                       amplitude_derivatives, amplitudes_analytic, splitting,
+                       time_grid)
 
 ENDPOINT_TOL = 1e-8   # time tolerance of revival endpoint bisection
 
 BOUNDARY_T_MAX = 300.0
 BOUNDARY_DT = 1e-2
+BOUNDARY_TOL_V = 1e-3
+
+# samples of the boundary's revival scan checked before the rest of the
+# grid; revivals above threshold show up early, so most probes stop here
+SCAN_HEAD = 2048
 
 
 class UnsupportedInitialState(ValueError):
@@ -40,6 +52,31 @@ def sigma_values(params: ModelParams, t):
     c, b = amplitudes_analytic(params, t)
     dc, _ = amplitude_derivatives(params, t, c=c, b=b)
     return 2.0 * np.real(np.conj(c) * dc)
+
+
+def sigma_positive(params: ModelParams, t):
+    """Boolean sigma(t) > 0, from sigma's sign alone.
+
+    With x = d t / 4 and chat = cosh x + (g/d) sinh x,
+    sigma = -8 V^2 |c0|^2 e^{-gamma t/2} Re(conj(chat) sinh(x) / d).
+    Dividing out the positive factors e^{-gamma t/2} and |e^x|^2 / 4
+    leaves, with u = e^{-d t/2},
+
+        sigma > 0  <=>  Re(conj((1+u) + (g/d)(1-u)) (1-u) / d) < 0.
+
+    Re d >= 0 keeps |u| <= 1, so no horizon or decay rate overflows.
+    In the series branch (|d| t/4 < SERIES_SWITCH, and everywhere at
+    d = 0) sigma = -2 V^2 |c0|^2 t e^{-gamma t/2} (1 + gamma t/4) <= 0.
+    """
+    tt = np.asarray(t, dtype=float)
+    d = splitting(params)
+    if d == 0 or params.v == 0 or complex(params.c0_init) == 0:
+        return np.zeros(tt.shape, dtype=bool)
+    g = params.gamma + 2j * params.delta
+    u = np.exp(-0.5 * d * tt)
+    s = 1.0 - u
+    pos = np.real(np.conj((1.0 + u) + (g / d) * s) * s / d) < 0.0
+    return pos & (np.abs(d) * tt / 4.0 >= SERIES_SWITCH)
 
 
 def mode_gain_values(params: ModelParams, t):
@@ -126,10 +163,13 @@ def is_nonmarkovian(params: ModelParams, eps_n: float = 1e-10,
 
 def _has_revival(v, delta, gamma, t_max, dt):
     # grid-sign detector without endpoint refinement; any strictly
-    # positive sigma sample counts (infimum semantics for the boundary)
+    # positive sigma sample counts (infimum semantics for the boundary).
+    # The head of the grid is scanned first and the rest only without a
+    # revival there: the same any() over the same grid.
     params = ModelParams(v=v, delta=delta, gamma=gamma, t_max=t_max)
     times = time_grid(t_max, dt)
-    return bool(np.any(sigma_values(params, times) > 0.0))
+    return bool(sigma_positive(params, times[:SCAN_HEAD]).any()
+                or sigma_positive(params, times[SCAN_HEAD:]).any())
 
 
 @dataclass(frozen=True)
@@ -181,7 +221,7 @@ def resolve_workers(workers=None, default: int = 1) -> int:
 
 
 def markovian_boundary(delta_values, v_search=(0.05, 1.2),
-                       tol_v: float = 1e-3, gamma: float = 1.0,
+                       tol_v: float = BOUNDARY_TOL_V, gamma: float = 1.0,
                        t_max: float = BOUNDARY_T_MAX,
                        dt: float = BOUNDARY_DT,
                        workers=None) -> BoundaryCurve:

@@ -86,7 +86,7 @@ def dft(r, dt: float, window: str | None = None) -> SpectrumResult:
     n = r.size
     if n < 2:
         raise ValueError("need at least 2 samples")
-    scale = float(np.max(np.abs(r))) if n else 0.0
+    scale = float(np.max(np.abs(r)))
     if window == "hann":
         r = r * np.hanning(n)
     elif window is not None:

@@ -12,19 +12,19 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
-                       amplitude_series, photon_flux_analytic, time_grid)
-from .nonmarkov import markovian_boundary, nm_measure, sign_map
+                       amplitude_series, photon_flux_analytic)
+from .nonmarkov import (BOUNDARY_DT, BOUNDARY_T_MAX, BOUNDARY_TOL_V,
+                        markovian_boundary, nm_measure, sign_map)
 from .spectrum import (DEFAULT_MIN_PROMINENCE, classify, coherent_frequency,
                        detrend, dft, dominant_peak, threshold_frequency)
-from .trajectories import (DEFAULT_BIN_WIDTH, estimate_flux, philox_keys,
-                           sample_jump_times)
+from .trajectories import DEFAULT_BIN_WIDTH, estimate_flux, philox_keys
 
 FIGURE_IDS = (1, 2, 3, 4)
 
@@ -190,16 +190,21 @@ def run_sweep(config: SweepConfig, out_dir=None) -> RegionMap:
 
     The threshold frequency is taken from the config when given,
     otherwise computed once from the Markovian boundary over the
-    sweep's own delta grid and coupling window.
+    sweep's own delta grid and coupling window, with the boundary's
+    default horizon, step and tolerance taken in units of gamma.
     """
     deltas = config.delta_values()
     vs = config.v_values()
 
     omega_threshold = config.omega_threshold
     if omega_threshold is None:
+        gamma = config.gamma
         boundary = markovian_boundary(deltas,
                                       v_search=(config.v_min, config.v_max),
-                                      gamma=config.gamma)
+                                      tol_v=BOUNDARY_TOL_V * gamma,
+                                      gamma=gamma,
+                                      t_max=BOUNDARY_T_MAX / gamma,
+                                      dt=BOUNDARY_DT / gamma)
         omega_threshold = threshold_frequency(boundary, v_grid=vs).omega_m
 
     n_workers = _resolve_sweep_workers(config)

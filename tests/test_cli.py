@@ -8,6 +8,11 @@ import sys
 import numpy as np
 import pytest
 
+from cavityflux import cli
+from cavityflux.spectrum import EmptyRegion, NoSignal
+from cavityflux.sweep import SweepConfig, run_sweep
+from cavityflux.trajectories import GridMismatch
+
 CLI = [sys.executable, "-m", "cavityflux.cli"]
 
 
@@ -243,6 +248,58 @@ def test_classify_auto_threshold():
     verdict = json.loads(stdout)
     assert verdict["label"] == "NonMarkovianDetected"
     assert 0.4 < verdict["omega_threshold"] < 2.2
+
+
+def test_auto_threshold_gamma_invariance(capsys):
+    # Omega_M / gamma from both auto-threshold paths, in units of gamma
+    tol_v = 1e-3
+    sweep_omega, classify_omega = {}, {}
+    for gamma in (1.0, 10.0):
+        config = SweepConfig(v_min=0.05 * gamma, v_max=1.2 * gamma,
+                             v_count=3, delta_min=0.0, delta_max=2.0 * gamma,
+                             delta_count=5, t_max=14.0 / gamma,
+                             dt=1e-3 / gamma, gamma=gamma)
+        sweep_omega[gamma] = run_sweep(config).omega_threshold / gamma
+        assert cli.main(["classify", "--v", "2", "--delta", "2",
+                         "--gamma", str(gamma), "--auto-threshold"]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        classify_omega[gamma] = verdict["omega_threshold"] / gamma
+    assert sweep_omega[10.0] == pytest.approx(sweep_omega[1.0], abs=tol_v)
+    assert classify_omega[10.0] == pytest.approx(classify_omega[1.0],
+                                                 abs=tol_v)
+
+
+def _raises(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("exc_type, patched, argv", [
+    (NoSignal, ("dft",),
+     ["spectrum", "--v", "2", "--delta", "2", "--out", "{tmp}/s.csv"]),
+    (EmptyRegion, ("markovian_boundary", "threshold_frequency"),
+     ["classify", "--v", "2", "--delta", "2", "--auto-threshold"]),
+    (GridMismatch, ("flux_residual_stats",),
+     ["mcwf", "--v", "1", "--delta", "0", "--n-traj", "20", "--seed", "1",
+      "--out", "{tmp}/mc"]),
+], ids=["NoSignal", "EmptyRegion", "GridMismatch"])
+def test_numerical_failure_exits_1(exc_type, patched, argv, tmp_path,
+                                   monkeypatch, capsys):
+    for name in patched:
+        monkeypatch.setattr(cli, name, _raises(exc_type("no usable result")))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: no usable result\n"
+
+
+def test_plain_value_error_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "dft", _raises(ValueError("bad input")))
+    with pytest.raises(SystemExit) as info:
+        cli.main(["spectrum", "--v", "2", "--delta", "2", "--out", "-"])
+    assert info.value.code == 2
+    assert "bad input" in capsys.readouterr().err
 
 
 def test_config_file_precedence(tmp_path):

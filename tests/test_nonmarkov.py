@@ -1,12 +1,18 @@
 """Unit tests for ``cavityflux.nonmarkov``."""
 
+import warnings
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from cavityflux.dynamics import (ModelParams, amplitudes_analytic, flux_at,
+from cavityflux import nonmarkov
+from cavityflux.dynamics import (SERIES_SWITCH, ModelParams,
+                                 amplitudes_analytic, flux_at, splitting,
                                  time_grid)
 from cavityflux.nonmarkov import (
+    BOUNDARY_DT,
+    BOUNDARY_T_MAX,
     BoundaryCurve,
     UnsupportedInitialState,
     is_nonmarkovian,
@@ -14,6 +20,7 @@ from cavityflux.nonmarkov import (
     mode_gain_values,
     nm_measure,
     resolve_workers,
+    sigma_positive,
     sigma_values,
     sign_map,
 )
@@ -133,6 +140,117 @@ def test_is_nonmarkovian_threshold():
         is_nonmarkovian(ModelParams(v=1.0, delta=0.0), eps_n=0.0)
     with pytest.raises(ValueError):
         is_nonmarkovian(ModelParams(v=1.0, delta=0.0), eps_n=-1.0)
+
+
+def _boundary_grid():
+    return time_grid(BOUNDARY_T_MAX, BOUNDARY_DT)
+
+
+@pytest.mark.parametrize("v, delta, times, kind", [
+    # V = gamma/4 at resonance: d = 0, the series limit holds everywhere
+    (0.25, 0.0, _boundary_grid(), "zero"),
+    # resonance above threshold: d purely imaginary
+    (1.0, 0.0, _boundary_grid(), "imaginary"),
+    (0.3, 0.0, _boundary_grid(), "imaginary"),
+    # off resonance: d complex
+    (0.53, 1.0, _boundary_grid(), "complex"),
+    (0.6, 1.0, _boundary_grid(), "complex"),
+    (1.5, -1.7, _boundary_grid(), "complex"),
+    # samples below |d| t/4 = SERIES_SWITCH come first, then the full grid
+    (1.0, 0.5, np.concatenate([np.linspace(0.0, 4e-6, 41),
+                               time_grid(20.0, 1e-3)[1:]]), "series"),
+])
+def test_sigma_positive_matches_sigma_values(v, delta, times, kind):
+    params = ModelParams(v=v, delta=delta, t_max=float(times[-1]))
+    d = splitting(params)
+    pos = sigma_positive(params, times)
+    assert pos.dtype == bool and pos.shape == times.shape
+    assert_array_equal(pos, sigma_values(params, times) > 0.0)
+    if kind == "zero":
+        assert d == 0
+        assert not pos.any()
+    else:
+        assert pos.any()
+        assert (d.real == 0) == (kind == "imaginary")
+    if kind == "series":
+        series = np.abs(d) * times / 4.0 < SERIES_SWITCH
+        assert 1 < series.sum() < times.size
+
+
+def test_sigma_positive_is_false_without_coupling():
+    times = time_grid(30.0, 1e-2)
+    assert not sigma_positive(ModelParams(v=0.0, delta=0.3), times).any()
+    assert not sigma_positive(ModelParams(v=1.0, delta=0.0, c0_init=0.0),
+                              times).any()
+
+
+def test_revival_scan_covers_the_grid_once(monkeypatch):
+    scanned = []
+
+    def recording(params, t):
+        scanned.append(np.array(t))
+        return sigma_positive(params, t)
+
+    monkeypatch.setattr(nonmarkov, "sigma_positive", recording)
+    # no revival: the head, then the rest, each sample exactly once
+    assert not nonmarkov._has_revival(0.2, 0.0, 1.0, BOUNDARY_T_MAX,
+                                      BOUNDARY_DT)
+    assert scanned[0].size == nonmarkov.SCAN_HEAD
+    assert_array_equal(np.concatenate(scanned), _boundary_grid())
+    # an early revival is decided by the head alone
+    scanned.clear()
+    assert nonmarkov._has_revival(1.0, 0.0, 1.0, BOUNDARY_T_MAX, BOUNDARY_DT)
+    assert len(scanned) == 1
+
+
+def test_boundary_matches_full_grid_bisection():
+    # reference: bisection on any(sigma_values > 0) over the whole grid
+    times = _boundary_grid()
+    v_lo, v_hi, tol_v = 0.05, 1.2, 1e-3
+
+    def revives(v, delta):
+        params = ModelParams(v=v, delta=delta, t_max=BOUNDARY_T_MAX)
+        return bool(np.any(sigma_values(params, times) > 0.0))
+
+    deltas = np.linspace(0.0, 2.0, 41)
+    v_c, unbracketed = [], []
+    for delta in deltas:
+        nm_lo, nm_hi = revives(v_lo, delta), revives(v_hi, delta)
+        if nm_lo == nm_hi:
+            v_c.append(np.nan)
+            unbracketed.append(
+                (float(delta),
+                 "all_nonmarkovian" if nm_lo else "all_markovian"))
+            continue
+        lo, hi = v_lo, v_hi
+        while hi - lo > tol_v:
+            mid = 0.5 * (lo + hi)
+            if revives(mid, delta):
+                hi = mid
+            else:
+                lo = mid
+        v_c.append(0.5 * (lo + hi))
+
+    curve = markovian_boundary(deltas)
+    assert_array_equal(curve.v_c, np.array(v_c))
+    assert curve.unbracketed == unbracketed
+
+
+def test_boundary_long_absolute_horizon_does_not_overflow():
+    # at gamma = 10 the default horizon of 300 is 3000/gamma: the old
+    # closed forms overflowed cosh there and read NaN as "no revival"
+    deltas = np.linspace(0.0, 20.0, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        curve = markovian_boundary(deltas, v_search=(0.5, 12.0), tol_v=1e-2,
+                                   gamma=10.0)
+    reference = markovian_boundary(deltas / 10.0, v_search=(0.05, 1.2))
+    bracketed = np.isfinite(reference.v_c)
+    assert bracketed.sum() >= 7
+    assert np.all(np.isfinite(curve.v_c[bracketed]))
+    # a longer horizon can only lower V_c, and only slightly here
+    assert_allclose(curve.v_c[bracketed] / 10.0, reference.v_c[bracketed],
+                    atol=2e-3)
 
 
 def test_boundary_resonant():
