@@ -223,8 +223,8 @@ def cmd_sweep(args, parser) -> int:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise CliError(f"sweep config {args.config_path} must be a JSON object")
-    out_dir = args.out or data.pop("out_dir", None) or "sweep_out"
-    data.pop("out_dir", None)
+    out_dir = data.pop("out_dir", None)
+    out_dir = args.out or out_dir or "sweep_out"
     try:
         config = SweepConfig(**data)
     except (TypeError, ValueError) as exc:

@@ -21,7 +21,6 @@ factors are replaced by their series limit.
 from __future__ import annotations
 
 import cmath
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +31,6 @@ SERIES_SWITCH = 1e-6
 
 DEFAULT_T_MAX = 14.0
 DEFAULT_DT = 1e-3
-
-
-class StepTooLargeWarning(UserWarning):
-    """Integration step exceeds the recommended stability bound."""
 
 
 @dataclass(frozen=True)
@@ -203,52 +198,6 @@ def amplitude_series(params: ModelParams, dt: float = DEFAULT_DT) -> AmplitudeSe
     times = time_grid(params.t_max, dt)
     c, b = amplitudes_analytic(params, times)
     return AmplitudeSeries(times=times, c_values=c, b_values=b,
-                           c0_ground=params.c0_ground)
-
-
-def amplitudes_ode(params: ModelParams, dt: float = DEFAULT_DT) -> AmplitudeSeries:
-    """Classical RK4 integration of the amplitude equations.
-
-    Independent of the closed forms; used as a cross-check.  Warns when
-    dt exceeds the recommended bound 1e-2 / max(gamma, V, |delta|, 1).
-    """
-    recommended = 1e-2 / max(params.gamma, params.v, abs(params.delta), 1.0)
-    if dt > recommended:
-        warnings.warn(
-            f"dt={dt} exceeds recommended step {recommended:.3g}",
-            StepTooLargeWarning, stacklevel=2)
-
-    times = time_grid(params.t_max, dt)
-    n = times.size
-    c_out = np.empty(n, dtype=complex)
-    b_out = np.empty(n, dtype=complex)
-    c = complex(params.c0_init)
-    b = 0.0 + 0.0j
-    c_out[0] = c
-    b_out[0] = b
-
-    v = params.v
-    half_gamma = 0.5 * params.gamma
-    delta = params.delta
-
-    def rhs(t, cc, bb):
-        ph = cmath.exp(-1j * delta * t)
-        return (-1j * v * ph * bb,
-                -half_gamma * bb - 1j * v * cc * ph.conjugate())
-
-    h = dt
-    for k in range(1, n):
-        t0 = times[k - 1]
-        k1c, k1b = rhs(t0, c, b)
-        k2c, k2b = rhs(t0 + 0.5 * h, c + 0.5 * h * k1c, b + 0.5 * h * k1b)
-        k3c, k3b = rhs(t0 + 0.5 * h, c + 0.5 * h * k2c, b + 0.5 * h * k2b)
-        k4c, k4b = rhs(t0 + h, c + h * k3c, b + h * k3b)
-        c = c + (h / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-        b = b + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        c_out[k] = c
-        b_out[k] = b
-
-    return AmplitudeSeries(times=times, c_values=c_out, b_values=b_out,
                            c0_ground=params.c0_ground)
 
 

@@ -210,14 +210,26 @@ def _boundary_column(args):
     return 0.5 * (lo + hi), None
 
 
-def resolve_workers(workers=None, default: int = 1) -> int:
-    """Explicit count wins, then the NM_WORKERS env var, then default."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("NM_WORKERS", "")
-    if env:
-        return max(1, int(env))
-    return max(1, default)
+def resolve_workers(workers=None, default=None) -> int:
+    """Explicit count wins, then the NM_WORKERS env var, then default, then 1.
+
+    An empty NM_WORKERS counts as unset; counts clamp to at least one.
+    A sweep passes its config's count as default, so NM_WORKERS wins there.
+    """
+    if workers is None:
+        workers = os.environ.get("NM_WORKERS") or default or 1
+    return max(1, int(workers))
+
+
+def parallel_map(fn, tasks, n_workers: int, chunksize: int) -> list:
+    """[fn(t) for t in tasks], over a process pool when n_workers > 1.
+
+    Results keep the order of tasks whatever the worker count.
+    """
+    if n_workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            return list(pool.map(fn, tasks, chunksize=chunksize))
+    return [fn(t) for t in tasks]
 
 
 def markovian_boundary(delta_values, v_search=(0.05, 1.2),
@@ -242,12 +254,8 @@ def markovian_boundary(delta_values, v_search=(0.05, 1.2),
     deltas = np.asarray(delta_values, dtype=float)
     tasks = [(d, v_lo, v_hi, tol_v, gamma, t_max, dt) for d in deltas]
 
-    n_workers = resolve_workers(workers)
-    if n_workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_boundary_column, tasks, chunksize=8))
-    else:
-        results = [_boundary_column(t) for t in tasks]
+    results = parallel_map(_boundary_column, tasks,
+                           resolve_workers(workers), chunksize=8)
 
     v_c = np.array([r[0] for r in results])
     unbracketed = [(float(d), r[1]) for d, r in zip(deltas, results)
@@ -275,12 +283,14 @@ class SignMap:
 
     def to_csv(self, path):
         name = "delta" if self.axis == "delta" else "v"
-        with open(path, "w") as fh:
-            fh.write(f"t,{name},c_pos,b_pos\n")
-            for i, p in enumerate(self.param_values):
-                for j, t in enumerate(self.times):
-                    fh.write(f"{t:.17g},{p:.17g},"
-                             f"{int(self.c_pos[i, j])},{int(self.b_pos[i, j])}\n")
+        # rows run over times within each parameter value
+        n_p, n_t = self.c_pos.shape
+        data = np.column_stack([np.tile(self.times, n_p),
+                                np.repeat(self.param_values, n_t),
+                                self.c_pos.ravel(), self.b_pos.ravel()])
+        np.savetxt(path, data, fmt=["%.17g", "%.17g", "%d", "%d"],
+                   delimiter=",", header=f"t,{name},c_pos,b_pos",
+                   comments="")
 
 
 def sign_map(axis: str, fixed_value: float, param_values,

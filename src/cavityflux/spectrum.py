@@ -120,8 +120,7 @@ class PeakEstimate:
     k_valley: int
 
 
-def dominant_peak(spectrum: SpectrumResult,
-                  min_prominence: float = DEFAULT_MIN_PROMINENCE) -> PeakEstimate:
+def dominant_peak(spectrum: SpectrumResult) -> PeakEstimate:
     """Dominant oscillation line of the flux spectrum.
 
     Walks down the low-frequency decay shoulder from bin 1 to its first
@@ -131,10 +130,7 @@ def dominant_peak(spectrum: SpectrumResult,
     reaches the end), the spectrum is a bare shoulder and bin 1 itself
     is reported.  prominence = peak-bin power / total power with the
     shoulder bins 1..k1-1 (and mirrors) excluded from the total, so a
-    pure cosine still scores 1/2.
-
-    min_prominence is echoed to callers for thresholding; no gating
-    happens here.
+    pure cosine still scores 1/2.  No prominence gating happens here.
     """
     p = spectrum.power
     kmax = p.size - 1
@@ -273,7 +269,7 @@ def classify(params: ModelParams, omega_threshold: float,
     note = None
     try:
         spec = dft(detrend(flux), flux.dt)
-        peak = dominant_peak(spec, min_prominence)
+        peak = dominant_peak(spec)
         omega_peak: float | None = peak.omega_peak
         prominence = peak.prominence
         detected = (peak.omega_peak > omega_threshold

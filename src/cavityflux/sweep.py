@@ -2,7 +2,7 @@
 
 Each (delta, V) cell gets the non-Markovianity measure, the coherent
 frequency Omega, and the spectral verdict (ground-truth refined).  Cells
-are independent work items; assembly is keyed by cell index so results
+are independent work items; assembly follows cell order, so results
 are identical regardless of worker count.  Manifests carry all inputs
 and versions but no timestamps, keeping reruns byte-identical.
 """
@@ -10,8 +10,6 @@ and versions but no timestamps, keeping reruns byte-identical.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -21,7 +19,8 @@ from . import __version__
 from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
                        amplitude_series, photon_flux_analytic)
 from .nonmarkov import (BOUNDARY_DT, BOUNDARY_T_MAX, BOUNDARY_TOL_V,
-                        markovian_boundary, nm_measure, sign_map)
+                        markovian_boundary, nm_measure, parallel_map,
+                        resolve_workers, sign_map)
 from .spectrum import (DEFAULT_MIN_PROMINENCE, classify, coherent_frequency,
                        detrend, dft, dominant_peak, threshold_frequency)
 from .trajectories import DEFAULT_BIN_WIDTH, estimate_flux, philox_keys
@@ -61,6 +60,12 @@ class SweepConfig:
     workers: int | None = None   # None = 1 worker; NM_WORKERS overrides
 
     def __post_init__(self):
+        for name in ("gamma", "t_max", "dt"):
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"{name} must be > 0, got {getattr(self, name)}")
+        if self.n_traj < 0:
+            raise ValueError(f"n_traj must be >= 0, got {self.n_traj}")
         if self.v_count < 1 or self.delta_count < 1:
             raise ValueError("grid counts must be >= 1")
         if self.v_max < self.v_min or self.delta_max < self.delta_min:
@@ -118,10 +123,9 @@ def _sweep_cell(config: SweepConfig, delta: float, v: float,
 def _sweep_column(args):
     config, j, delta, omega_threshold = args
     vs = config.v_values()
-    cells = [_sweep_cell(config, float(delta), float(v), omega_threshold,
-                         j * vs.size + i)
-             for i, v in enumerate(vs)]
-    return j, cells
+    return [_sweep_cell(config, float(delta), float(v), omega_threshold,
+                        j * vs.size + i)
+            for i, v in enumerate(vs)]
 
 
 @dataclass(frozen=True)
@@ -175,16 +179,6 @@ class RegionMap:
         return [manifest_path, cells_path]
 
 
-def _resolve_sweep_workers(config: SweepConfig) -> int:
-    """NM_WORKERS env var wins, then config.workers, then one worker."""
-    env = os.environ.get("NM_WORKERS", "")
-    if env:
-        return max(1, int(env))         # env var overrides the config
-    if config.workers is not None:
-        return max(1, int(config.workers))
-    return 1
-
-
 def run_sweep(config: SweepConfig, out_dir=None) -> RegionMap:
     """Evaluate every grid cell; optionally write outputs to out_dir.
 
@@ -207,15 +201,10 @@ def run_sweep(config: SweepConfig, out_dir=None) -> RegionMap:
                                       dt=BOUNDARY_DT / gamma)
         omega_threshold = threshold_frequency(boundary, v_grid=vs).omega_m
 
-    n_workers = _resolve_sweep_workers(config)
+    n_workers = resolve_workers(default=config.workers)
     tasks = [(config, j, delta, omega_threshold)
              for j, delta in enumerate(deltas)]
-    if n_workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = dict(pool.map(_sweep_column, tasks, chunksize=1))
-    else:
-        results = dict(_sweep_column(t) for t in tasks)
-    cells = [results[j] for j in range(deltas.size)]
+    cells = parallel_map(_sweep_column, tasks, n_workers, chunksize=1)
 
     region_map = RegionMap(deltas=deltas, vs=vs, cells=cells,
                            omega_threshold=float(omega_threshold),

@@ -171,22 +171,10 @@ def trajectory_uniforms(master_seed: int, n_traj: int) -> np.ndarray:
     return 1.0 - (x >> 11) * 2.0 ** -53
 
 
-def _trajectory_rng(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def survival_at(params: ModelParams, t):
     """Squared norm N^2(t) of the unnormalised no-jump state."""
     c, b = amplitudes_analytic(params, t)
     return np.abs(c) ** 2 + np.abs(b) ** 2 + params.c0_ground ** 2
-
-
-@dataclass(frozen=True)
-class TrajectoryOutcome:
-    """One monitored run: the photon arrival time, if any."""
-
-    jump_time: float | None
-    seed: object
 
 
 @dataclass(frozen=True)
@@ -201,13 +189,6 @@ class JumpRecord:
     params: ModelParams
     master_seed: int
     n_traj: int
-
-    @property
-    def outcomes(self):
-        return [TrajectoryOutcome(
-                    jump_time=None if np.isnan(jt) else float(jt),
-                    seed=(self.master_seed, i))
-                for i, jt in enumerate(self.jump_times)]
 
     @property
     def n_jumps(self) -> int:
@@ -272,17 +253,6 @@ def _invert_survival(params, times, n2, us):
         hi = np.where(ge, hi, mid)
     jump_times[firing] = 0.5 * (lo + hi)
     return jump_times
-
-
-def simulate_trajectory(params: ModelParams, seed) -> TrajectoryOutcome:
-    """Sample one trajectory; seed is an int or a SeedSequence."""
-    rng = _trajectory_rng(seed)
-    u = 1.0 - rng.random()                 # uniform in (0, 1]
-    times = time_grid(params.t_max, DEFAULT_DT)
-    n2 = np.minimum.accumulate(survival_at(params, times))
-    jt = _invert_survival(params, times, n2, np.array([u]))[0]
-    return TrajectoryOutcome(jump_time=None if np.isnan(jt) else float(jt),
-                             seed=seed)
 
 
 def sample_jump_times(params: ModelParams, n_traj: int, master_seed: int,

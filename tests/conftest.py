@@ -1,5 +1,8 @@
-"""Shared fixtures: acceptance-criterion reporting."""
+"""Shared fixtures: acceptance-criterion reporting and the RK4 reference."""
 
+import cmath
+
+import numpy as np
 import pytest
 
 ACCEPTANCE_LINES = []
@@ -19,6 +22,43 @@ def criterion_report():
         assert ok, line
 
     return _report
+
+
+def _rk4_reference(v, delta, gamma, t_max, dt):
+    """Test-local Runge-Kutta integration of the amplitude equations.
+
+    Written independently of the package's closed forms so they are
+    checked against a second implementation.  Returns (c, b) on the grid
+    0, dt, ..., t_max from c(0) = 1, b(0) = 0.
+    """
+    n = int(round(t_max / dt))
+    c, b = 1.0 + 0.0j, 0.0 + 0.0j
+    cs = np.empty(n + 1, dtype=complex)
+    bs = np.empty(n + 1, dtype=complex)
+    cs[0], bs[0] = c, b
+
+    def f(t, cc, bb):
+        ph = cmath.exp(-1j * delta * t)
+        return (-1j * v * ph * bb,
+                -0.5 * gamma * bb - 1j * v * cc / ph)
+
+    for k in range(n):
+        t = k * dt
+        k1c, k1b = f(t, c, b)
+        k2c, k2b = f(t + dt / 2, c + dt / 2 * k1c, b + dt / 2 * k1b)
+        k3c, k3b = f(t + dt / 2, c + dt / 2 * k2c, b + dt / 2 * k2b)
+        k4c, k4b = f(t + dt, c + dt * k3c, b + dt * k3b)
+        c += dt / 6 * (k1c + 2 * k2c + 2 * k3c + k4c)
+        b += dt / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
+        cs[k + 1], bs[k + 1] = c, b
+    return cs, bs
+
+
+@pytest.fixture(scope="session")
+def rk4_reference():
+    """The independent RK4 integrator, as rk4_reference(v, delta, gamma,
+    t_max, dt) -> (c, b)."""
+    return _rk4_reference
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -5,7 +5,6 @@ the terminal summary) and then asserts, so a red run shows exactly which
 guarantees broke.  Numbering fixes the execution order.
 """
 
-import cmath
 import json
 import os
 import subprocess
@@ -31,35 +30,6 @@ CLI = [sys.executable, "-m", "cavityflux.cli"]
 FIG1_SET = [(v, d) for v in (0.2, 0.5, 1.0) for d in (0.0, 1.0)]
 
 
-def _rk4_reference(v, delta, gamma, t_max, dt):
-    """Test-local Runge-Kutta integration of the amplitude equations.
-
-    Written independently of the package integrator so the closed forms
-    are checked against a second implementation.
-    """
-    n = int(round(t_max / dt))
-    c, b = 1.0 + 0.0j, 0.0 + 0.0j
-    cs = np.empty(n + 1, dtype=complex)
-    bs = np.empty(n + 1, dtype=complex)
-    cs[0], bs[0] = c, b
-
-    def f(t, cc, bb):
-        ph = cmath.exp(-1j * delta * t)
-        return (-1j * v * ph * bb,
-                -0.5 * gamma * bb - 1j * v * cc / ph)
-
-    for k in range(n):
-        t = k * dt
-        k1c, k1b = f(t, c, b)
-        k2c, k2b = f(t + dt / 2, c + dt / 2 * k1c, b + dt / 2 * k1b)
-        k3c, k3b = f(t + dt / 2, c + dt / 2 * k2c, b + dt / 2 * k2b)
-        k4c, k4b = f(t + dt, c + dt * k3c, b + dt * k3b)
-        c += dt / 6 * (k1c + 2 * k2c + 2 * k3c + k4c)
-        b += dt / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
-        cs[k + 1], bs[k + 1] = c, b
-    return cs, bs
-
-
 @pytest.fixture(scope="session")
 def threshold_200x200():
     """Criterion-4 threshold frequency on the 200x200 reference grid."""
@@ -72,7 +42,7 @@ def threshold_200x200():
     return result, elapsed
 
 
-def test_criterion_01(criterion_report):
+def test_criterion_01(criterion_report, rk4_reference):
     rng = np.random.default_rng(2024)
     dt = 1e-3
     times = time_grid(14.0, dt)
@@ -81,7 +51,7 @@ def test_criterion_01(criterion_report):
     for _ in range(20):
         v = rng.uniform(0.0, 3.0)
         delta = rng.uniform(-3.0, 3.0)
-        c_ref, b_ref = _rk4_reference(v, delta, 1.0, 14.0, dt)
+        c_ref, b_ref = rk4_reference(v, delta, 1.0, 14.0, dt)
         c, b = amplitudes_analytic(ModelParams(v=v, delta=delta), times)
         worst = max(worst,
                     float(np.max(np.abs(c - c_ref))),

@@ -350,6 +350,21 @@ def test_sweep_cli_rejects_bad_config(tmp_path):
     assert "invalid sweep config" in err
 
 
+@pytest.mark.parametrize("field,value", [("gamma", 0), ("n_traj", -5),
+                                         ("dt", 0)])
+def test_sweep_cli_rejects_bad_physics(tmp_path, field, value):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "v_min": 0.1, "v_max": 1.0, "v_count": 2,
+        "delta_min": 0.0, "delta_max": 1.0, "delta_count": 2,
+        "omega_threshold": 1.817, field: value}))
+    code, _, err = run_cli("sweep", str(config),
+                           "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert f"{field} must be" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_figures_cli(tmp_path):
     code, _, err = run_cli("figures", "9", "--out", str(tmp_path / "f"))
     assert code == 2

@@ -315,7 +315,10 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.setenv("NM_WORKERS", "2")
     assert resolve_workers() == 2
     assert resolve_workers(workers=5) == 5   # explicit count wins
+    assert resolve_workers(default=3) == 2   # env var beats the default
     assert resolve_workers(workers=0) == 1   # clamped to at least one
+    monkeypatch.setenv("NM_WORKERS", "")     # empty counts as unset
+    assert resolve_workers(default=3) == 3
 
 
 def test_sign_map_validation():

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from cavityflux.dynamics import FluxSeries, ModelParams, photon_flux_analytic
-from cavityflux.nonmarkov import markovian_boundary
+from cavityflux.nonmarkov import markovian_boundary, nm_measure
 from cavityflux.spectrum import (
     EmptyRegion,
     NoSignal,
@@ -284,3 +286,23 @@ def test_verdict_serialization():
     assert blob["label"] == "MarkovianConsistent"
     assert blob["params"]["v"] == 0.9
     assert "omega_peak" in verdict.to_json()
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(v=st.floats(0.05, 2.5), delta=st.floats(-2.0, 2.0),
+       gamma=st.floats(0.1, 1e3))
+def test_gamma_invariance(v, delta, gamma):
+    # rates scaled by gamma and times by 1/gamma: the measure, the label
+    # and omega_peak / gamma must not change
+    def run(g):
+        params = ModelParams(v=v * g, delta=delta * g, gamma=g,
+                             t_max=14.0 / g)
+        dt = 1e-3 / g
+        verdict = classify(params, 1.817 * g, ground_truth=True, dt=dt)
+        return nm_measure(params, dt).n_value, verdict
+
+    n_ref, ref = run(1.0)
+    n_val, got = run(gamma)
+    assert n_val == pytest.approx(n_ref, abs=1e-9)
+    assert got.label == ref.label
+    assert got.omega_peak / gamma == pytest.approx(ref.omega_peak, abs=1e-9)

@@ -37,6 +37,14 @@ def test_config_validation():
     _config(n_traj=100, master_seed=1)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("gamma", 0.0), ("gamma", -1.0), ("t_max", 0.0), ("t_max", -14.0),
+    ("dt", 0.0), ("dt", -1e-3), ("n_traj", -5)])
+def test_config_rejects_bad_physics(field, value):
+    with pytest.raises(ValueError, match=field):
+        _config(**{field: value})
+
+
 def test_config_grids():
     cfg = _config()
     assert_allclose(cfg.v_values(), np.linspace(0.05, 1.2, 4))
