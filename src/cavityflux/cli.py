@@ -72,8 +72,10 @@ def _build_params(args, config: dict):
             t_max=float(_merge(args, config, "t_max", DEFAULT_T_MAX)) / gamma)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    dt = float(_merge(args, config, "dt", DEFAULT_DT)) / gamma
-    return params, dt
+    dt = float(_merge(args, config, "dt", DEFAULT_DT))
+    if not dt > 0:
+        raise CliError(f"--dt must be > 0, got {dt}")
+    return params, dt / gamma
 
 
 def _add_param_flags(sub, c0: bool = False):
@@ -157,6 +159,10 @@ def cmd_measure(args, parser) -> int:
 def cmd_boundary(args, parser) -> int:
     config = _load_config(args.config)
     gamma = float(_merge(args, config, "gamma", 1.0))
+    dt = float(_merge(args, config, "dt", BOUNDARY_DT))
+    for name, value in (("gamma", gamma), ("dt", dt)):
+        if not value > 0:
+            raise CliError(f"--{name} must be > 0, got {value}")
     deltas = np.linspace(float(_merge(args, config, "delta_min", 0.0)),
                          float(_merge(args, config, "delta_max", 2.0)),
                          int(_merge(args, config, "delta_count", 41))) * gamma
@@ -167,7 +173,7 @@ def cmd_boundary(args, parser) -> int:
         tol_v=float(_merge(args, config, "tol", BOUNDARY_TOL_V)) * gamma,
         gamma=gamma,
         t_max=float(_merge(args, config, "t_max", BOUNDARY_T_MAX)) / gamma,
-        dt=float(_merge(args, config, "dt", BOUNDARY_DT)) / gamma,
+        dt=dt / gamma,
         workers=args.workers)
     curve.to_csv(args.out)
     for delta, kind in curve.unbracketed:

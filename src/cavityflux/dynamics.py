@@ -111,15 +111,14 @@ def amplitudes_analytic(params: ModelParams, t):
 
     d_safe = d if d != 0 else 1.0
     x = d_safe * tt / 4.0
-    c_full = ec * c0 * (np.cosh(x) + (g / d_safe) * np.sinh(x))
-    b_full = -4j * params.v * c0 * eb * np.sinh(x) / d_safe
-
-    c_series = ec * c0 * (1.0 + g * tt / 4.0)
-    b_series = -1j * params.v * c0 * tt * eb
+    sinh_x = np.sinh(x)
+    c = ec * c0 * (np.cosh(x) + (g / d_safe) * sinh_x)
+    b = -4j * params.v * c0 * eb * sinh_x / d_safe
 
     small = np.abs(d) * tt / 4.0 < SERIES_SWITCH
-    c = np.where(small, c_series, c_full)
-    b = np.where(small, b_series, b_full)
+    if small.any():     # the series limit, only where it applies
+        c[small] = ec[small] * c0 * (1.0 + g * tt[small] / 4.0)
+        b[small] = -1j * params.v * c0 * tt[small] * eb[small]
     if scalar:
         return complex(c[0]), complex(b[0])
     return c, b

@@ -50,6 +50,11 @@ class UnsupportedInitialState(ValueError):
 def sigma_values(params: ModelParams, t):
     """sigma(t) = d|c(t)|^2/dt = 2 Re(conj(c) dc/dt), analytic."""
     c, b = amplitudes_analytic(params, t)
+    return _sigma_from(params, t, c, b)
+
+
+def _sigma_from(params, t, c, b):
+    # sigma from amplitudes (c, b) already evaluated at t
     dc, _ = amplitude_derivatives(params, t, c=c, b=b)
     return 2.0 * np.real(np.conj(c) * dc)
 
@@ -96,23 +101,6 @@ class NMResult:
     dt: float
 
 
-def _sigma_scalar(params, t):
-    return float(sigma_values(params, np.asarray(t, dtype=float)))
-
-
-def _refine_crossing(params, lo, hi, rising):
-    # bisection on the sign of sigma; at a rising edge sigma(lo) <= 0 <
-    # sigma(hi), at a falling edge the converse
-    while hi - lo > ENDPOINT_TOL:
-        mid = 0.5 * (lo + hi)
-        pos = _sigma_scalar(params, mid) > 0.0
-        if pos == rising:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def _require_unit_c0(params):
     if complex(params.c0_init) != 1.0 + 0.0j:
         raise UnsupportedInitialState(
@@ -123,32 +111,43 @@ def nm_measure(params: ModelParams, dt: float = DEFAULT_DT) -> NMResult:
     """Non-Markovianity measure over [0, params.t_max].
 
     Revival windows found by the strict sign of sigma on the grid, then
-    endpoints refined by bisection; contributions telescoped from the
-    closed-form population at the endpoints.  Windows narrower than dt
-    are below the grid resolution and not counted.
+    all endpoints refined together by lock-step bisection; contributions
+    telescoped from the closed-form population at the endpoints.
+    Windows narrower than dt are below the grid resolution and not
+    counted.
     """
     _require_unit_c0(params)
     times = time_grid(params.t_max, dt)
-    pos = sigma_values(params, times) > 0.0   # sigma(0) = 0 exactly
+    pos = sigma_values(params, times) > 0.0
+    return _measure_from_signs(params, times, pos, dt)
 
-    intervals = []
-    open_start = None
-    for k in range(1, times.size):
-        if pos[k] and not pos[k - 1]:
-            open_start = _refine_crossing(params, times[k - 1], times[k], True)
-        elif pos[k - 1] and not pos[k]:
-            t_end = _refine_crossing(params, times[k - 1], times[k], False)
-            intervals.append((open_start, t_end))
-            open_start = None
-    if open_start is not None:
+
+def _measure_from_signs(params, times, pos, dt) -> NMResult:
+    # pos is sigma > 0 on times; sigma(0) = 0, so crossings alternate
+    # rising, falling, ...  All are bisected in lock step, one sigma pass
+    # over the still-active midpoints per step.
+    edges = np.flatnonzero(pos[1:] != pos[:-1])
+    lo, hi = times[edges], times[edges + 1]
+    rising = pos[edges + 1]
+    active = np.flatnonzero(hi - lo > ENDPOINT_TOL)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        up = (sigma_values(params, mid) > 0.0) == rising[active]
+        hi[active[up]] = mid[up]
+        lo[active[~up]] = mid[~up]
+        active = active[hi[active] - lo[active] > ENDPOINT_TOL]
+    ends = (0.5 * (lo + hi)).tolist()
+    if len(ends) % 2:
         # revival still running at the horizon: truncate at t_max
-        intervals.append((open_start, float(times[-1])))
+        ends.append(float(times[-1]))
+    intervals = list(zip(ends[0::2], ends[1::2]))
 
     n_value = 0.0
-    for t_start, t_end in intervals:
-        c_start, _ = amplitudes_analytic(params, t_start)
-        c_end, _ = amplitudes_analytic(params, t_end)
-        n_value += abs(c_end) ** 2 - abs(c_start) ** 2
+    if ends:
+        c, _ = amplitudes_analytic(params, np.array(ends))
+        # Python's abs, not numpy's, which differs in the last bit
+        for k in range(0, len(ends), 2):
+            n_value += abs(complex(c[k + 1])) ** 2 - abs(complex(c[k])) ** 2
     return NMResult(n_value=max(n_value, 0.0), revival_intervals=intervals,
                     t_max=params.t_max, dt=dt)
 
@@ -314,7 +313,10 @@ def sign_map(axis: str, fixed_value: float, param_values,
         else:
             params = ModelParams(v=p, delta=fixed_value, gamma=gamma,
                                  t_max=t_max)
-        c_pos[i] = sigma_values(params, times) > 0.0
-        b_pos[i] = mode_gain_values(params, times) > 0.0
+        # one kernel pass per row for both sigma and mode_gain_values
+        c, b = amplitudes_analytic(params, times)
+        dc, db = amplitude_derivatives(params, times, c=c, b=b)
+        c_pos[i] = 2.0 * np.real(np.conj(c) * dc) > 0.0
+        b_pos[i] = 2.0 * params.gamma * np.real(np.conj(b) * db) > 0.0
     return SignMap(axis=axis, fixed_value=fixed_value, times=times,
                    param_values=param_values, c_pos=c_pos, b_pos=b_pos)

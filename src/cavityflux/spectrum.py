@@ -141,9 +141,9 @@ def dominant_peak(spectrum: SpectrumResult) -> PeakEstimate:
     if total / spectrum.n_samples <= NO_SIGNAL_REL * scale * scale:
         raise NoSignal("detrended signal power below noise floor")
 
-    k1 = 1
-    while k1 + 1 <= kmax and p[k1 + 1] < p[k1]:
-        k1 += 1
+    # first k >= 1 where p[k+1] < p[k] fails; a NaN bin stops the walk
+    stops = np.flatnonzero(~(p[2:] < p[1:-1]))
+    k1 = int(stops[0]) + 1 if stops.size else kmax
     if k1 >= kmax:
         kp, k1 = 1, 1
     else:

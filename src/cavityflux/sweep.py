@@ -16,11 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
-                       amplitude_series, photon_flux_analytic)
+from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, FluxSeries, ModelParams,
+                       amplitude_series, amplitudes_analytic,
+                       photon_flux_analytic, time_grid)
 from .nonmarkov import (BOUNDARY_DT, BOUNDARY_T_MAX, BOUNDARY_TOL_V,
-                        markovian_boundary, nm_measure, parallel_map,
-                        resolve_workers, sign_map)
+                        _measure_from_signs, _sigma_from, markovian_boundary,
+                        parallel_map, resolve_workers, sign_map)
+from .nonmarkov import nm_measure  # noqa: F401  (perfbench rebinds it here)
 from .spectrum import (DEFAULT_MIN_PROMINENCE, classify, coherent_frequency,
                        detrend, dft, dominant_peak, threshold_frequency)
 from .trajectories import DEFAULT_BIN_WIDTH, estimate_flux, philox_keys
@@ -72,6 +74,9 @@ class SweepConfig:
             raise ValueError("grid bounds must be monotone")
         if self.n_traj > 0 and self.master_seed is None:
             raise ValueError("master_seed required when n_traj > 0")
+        if self.n_traj > 0 and not 0 < self.bin_width <= self.t_max:
+            raise ValueError(f"bin_width must be in (0, t_max], "
+                             f"got {self.bin_width}")
 
     def v_values(self) -> np.ndarray:
         return np.linspace(self.v_min, self.v_max, self.v_count)
@@ -97,12 +102,17 @@ def _sweep_cell(config: SweepConfig, delta: float, v: float,
     try:
         params = ModelParams(v=v, delta=delta, gamma=config.gamma,
                              t_max=config.t_max)
-        n_value = nm_measure(params, config.dt).n_value
-        flux = None
+        # one kernel pass feeds both the measure and the analytic flux
+        times = time_grid(config.t_max, config.dt)
+        c, b = amplitudes_analytic(params, times)
+        pos = _sigma_from(params, times, c, b) > 0.0
+        n_value = _measure_from_signs(params, times, pos, config.dt).n_value
         if config.n_traj > 0:
             flux = estimate_flux(params, config.n_traj, config.bin_width,
                                  _cell_seed(config.master_seed, cell_index),
                                  config.dt)
+        else:
+            flux = FluxSeries(times, config.gamma * np.abs(b) ** 2, "analytic")
         verdict = classify(params, omega_threshold,
                            min_prominence=config.min_prominence, flux=flux,
                            ground_truth=True, dt=config.dt,

@@ -107,6 +107,26 @@ def test_invalid_gamma_is_usage_error():
     assert "gamma" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["measure", "--v", "1", "--delta", "0", "--dt", "0"], "dt"),
+    (["measure", "--v", "1", "--delta", "0", "--dt=-1e-3"], "dt"),
+    (["spectrum", "--v", "1", "--delta", "0", "--dt", "0",
+      "--out", "{tmp}/s.csv"], "dt"),
+    (["boundary", "--dt", "0", "--delta-count", "2",
+      "--out", "{tmp}/b.csv"], "dt"),
+    (["boundary", "--gamma", "0", "--delta-count", "2",
+      "--out", "{tmp}/b.csv"], "gamma"),
+], ids=["measure-dt", "measure-negative-dt", "spectrum-dt", "boundary-dt",
+        "boundary-gamma"])
+def test_nonpositive_step_or_rate_is_usage_error(argv, flag, tmp_path,
+                                                 capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main([a.format(tmp=tmp_path) for a in argv])
+    assert info.value.code == 2
+    assert f"--{flag} must be > 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_mcwf_reproducible(tmp_path):
     args = ["mcwf", "--v", "1", "--delta", "0", "--n-traj", "60",
             "--seed", "3"]
@@ -351,13 +371,16 @@ def test_sweep_cli_rejects_bad_config(tmp_path):
 
 
 @pytest.mark.parametrize("field,value", [("gamma", 0), ("n_traj", -5),
-                                         ("dt", 0)])
+                                         ("dt", 0), ("bin_width", 0),
+                                         ("bin_width", 15)])
 def test_sweep_cli_rejects_bad_physics(tmp_path, field, value):
+    # the bin width only matters to sampled flux
+    sampled = {"n_traj": 10, "master_seed": 1} if field == "bin_width" else {}
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({
         "v_min": 0.1, "v_max": 1.0, "v_count": 2,
         "delta_min": 0.0, "delta_max": 1.0, "delta_count": 2,
-        "omega_threshold": 1.817, field: value}))
+        "omega_threshold": 1.817, field: value, **sampled}))
     code, _, err = run_cli("sweep", str(config),
                            "--out", str(tmp_path / "out"))
     assert code == 2

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from cavityflux.dynamics import (
+    SERIES_SWITCH,
     AmplitudeSeries,
     ModelParams,
     amplitude_derivatives,
@@ -88,6 +89,48 @@ def test_lossless_rabi_oscillation():
     c, b = amplitudes_analytic(params, t)
     assert_allclose(np.abs(c) ** 2, np.cos(t) ** 2, rtol=0.0, atol=1e-12)
     assert_allclose(np.abs(b) ** 2, np.sin(t) ** 2, rtol=0.0, atol=1e-12)
+
+
+def _both_branches(params, t):
+    # reference kernel: full and series forms over the whole grid, each
+    # with its own sinh, merged by np.where
+    c0 = complex(params.c0_init)
+    g = params.gamma + 2j * params.delta
+    d = splitting(params)
+    tt = np.atleast_1d(np.asarray(t, dtype=float))
+    ec = np.exp(-tt * g / 4.0)
+    eb = np.exp(-tt * np.conj(g) / 4.0)
+    d_safe = d if d != 0 else 1.0
+    x = d_safe * tt / 4.0
+    c_full = ec * c0 * (np.cosh(x) + (g / d_safe) * np.sinh(x))
+    b_full = -4j * params.v * c0 * eb * np.sinh(x) / d_safe
+    c_series = ec * c0 * (1.0 + g * tt / 4.0)
+    b_series = -1j * params.v * c0 * tt * eb
+    small = np.abs(d) * tt / 4.0 < SERIES_SWITCH
+    return np.where(small, c_series, c_full), np.where(small, b_series, b_full)
+
+
+@pytest.mark.parametrize("params, times", [
+    # d = 0 (V = gamma/4 at resonance): the series holds on every sample
+    (ModelParams(v=0.25, delta=0.0), time_grid(14.0, 1e-3)),
+    (ModelParams(v=2.5, delta=0.0, gamma=10.0, t_max=1.4),
+     time_grid(1.4, 1e-4)),
+    # the first 41 samples fall in the series branch, then the full grid
+    (ModelParams(v=1.0, delta=0.5, t_max=14.0),
+     np.concatenate([np.linspace(0.0, 9e-7, 41), time_grid(14.0, 1e-3)[1:]])),
+    (ModelParams(v=1.0, delta=0.5, c0_init=0.6 + 0.3j, t_max=14.0),
+     np.linspace(0.0, 9e-7, 41)),
+])
+def test_kernel_matches_both_branch_reference_bitwise(params, times):
+    c, b = amplitudes_analytic(params, times)
+    c_ref, b_ref = _both_branches(params, times)
+    assert_array_equal(c.view(np.uint64), c_ref.view(np.uint64))
+    assert_array_equal(b.view(np.uint64), b_ref.view(np.uint64))
+    small = np.abs(splitting(params)) * times / 4.0 < SERIES_SWITCH
+    assert small[:41].all()
+    # a scalar time takes the same path as a one-sample grid
+    for k in (0, 40, times.size - 1):
+        assert amplitudes_analytic(params, times[k]) == (c[k], b[k])
 
 
 def test_initial_state_and_flat_start():

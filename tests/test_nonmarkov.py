@@ -236,6 +236,57 @@ def test_boundary_matches_full_grid_bisection():
     assert curve.unbracketed == unbracketed
 
 
+def _scalar_measure(params, dt):
+    # reference: a Python loop over the grid, one scalar bisection per
+    # crossing, and one scalar population per endpoint
+    times = time_grid(params.t_max, dt)
+    pos = sigma_values(params, times) > 0.0
+
+    def refine(lo, hi, rising):
+        while hi - lo > nonmarkov.ENDPOINT_TOL:
+            mid = 0.5 * (lo + hi)
+            if (float(sigma_values(params, mid)) > 0.0) == rising:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    intervals, start = [], None
+    for k in range(1, times.size):
+        if pos[k] and not pos[k - 1]:
+            start = refine(times[k - 1], times[k], True)
+        elif pos[k - 1] and not pos[k]:
+            intervals.append((start, refine(times[k - 1], times[k], False)))
+            start = None
+    if start is not None:
+        intervals.append((start, float(times[-1])))
+    n_value = 0.0
+    for t_start, t_end in intervals:
+        n_value += (abs(amplitudes_analytic(params, t_end)[0]) ** 2
+                    - abs(amplitudes_analytic(params, t_start)[0]) ** 2)
+    return max(n_value, 0.0), intervals
+
+
+@pytest.mark.parametrize("params, dt, open_end", [
+    # strong coupling: many revivals
+    (ModelParams(v=2.0, delta=2.0), 1e-3, False),
+    # squaring the endpoints with numpy's abs changes the last bit here
+    (ModelParams(v=1.2, delta=-1.5), 1e-3, False),
+    # just above the resonant V_c = 1/4: tiny revivals on a long horizon
+    (ModelParams(v=0.26, delta=0.0, t_max=300.0), 1e-2, False),
+    (ModelParams(v=10.0, delta=5.0, gamma=10.0, t_max=1.4), 1e-4, False),
+    # the last revival is still running at t_max
+    (ModelParams(v=0.5, delta=0.0), 1e-3, True),
+])
+def test_measure_matches_scalar_bisection(params, dt, open_end):
+    result = nm_measure(params, dt)
+    n_value, intervals = _scalar_measure(params, dt)
+    assert result.n_value == n_value
+    assert result.revival_intervals == intervals
+    assert n_value > 0.0 and len(intervals) >= 2
+    assert (intervals[-1][1] == params.t_max) == open_end
+
+
 def test_boundary_long_absolute_horizon_does_not_overflow():
     # at gamma = 10 the default horizon of 300 is 3000/gamma: the old
     # closed forms overflowed cosh there and read NaN as "no revival"

@@ -9,8 +9,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from cavityflux.dynamics import FluxSeries, ModelParams, photon_flux_analytic
 from cavityflux.nonmarkov import markovian_boundary, nm_measure
 from cavityflux.spectrum import (
+    SHOULDER_FLOOR,
     EmptyRegion,
     NoSignal,
+    SpectrumResult,
     classify,
     coherent_frequency,
     detrend,
@@ -127,6 +129,42 @@ def test_dominant_peak_off_bin():
         r = np.cos(omega * t)
         peak = dominant_peak(dft(r - r.mean(), dt))
         assert abs(peak.omega_peak - omega) < 0.35 * bw
+
+
+def _loop_valley(p):
+    # reference: the bin-by-bin shoulder walk, then the bare-shoulder reset
+    kmax = p.size - 1
+    k1 = 1
+    while k1 + 1 <= kmax and p[k1 + 1] < p[k1]:
+        k1 += 1
+    if k1 >= kmax:
+        return 1
+    kp = k1 + int(np.argmax(p[k1:]))
+    return 1 if p[kp] < SHOULDER_FLOOR * p[1] else k1
+
+
+def _power_spectrum(power):
+    power = np.asarray(power, dtype=float)
+    n = 2 * (power.size - 1)
+    return SpectrumResult(omega=np.arange(power.size) * 2.0 * np.pi / n,
+                          s_values=np.sqrt(power).astype(complex),
+                          power=power, n_samples=n, dt=1.0, signal_scale=1.0)
+
+
+@pytest.mark.parametrize("spec, k_valley", [
+    # monotone: the walk reaches kmax, so bin 1 is reported
+    (_power_spectrum(1.0 / (1.0 + np.arange(101.0) ** 2)), 1),
+    # equal neighbours end the descent
+    (_power_spectrum([10.0, 8.0, 6.0, 6.0, 5.0, 9.0, 2.0, 1.0]), 2),
+    # so does a NaN bin, from either side of the comparison
+    (_power_spectrum([10.0, 8.0, 6.0, np.nan, 5.0, 9.0, 2.0, 1.0]), 2),
+    (_power_spectrum([10.0, 8.0, np.nan, 5.0, 4.0, 9.0, 2.0, 1.0]), 1),
+    (dft(detrend(photon_flux_analytic(ModelParams(v=2.0, delta=2.0))), 1e-3),
+     6),
+], ids=["monotone", "equal", "nan-after", "nan-at", "flux"])
+def test_shoulder_walk_matches_loop(spec, k_valley):
+    assert _loop_valley(spec.power) == k_valley
+    assert dominant_peak(spec).k_valley == k_valley
 
 
 def test_white_noise_has_no_prominent_line():

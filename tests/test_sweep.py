@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cavityflux.dynamics import ModelParams
+from cavityflux.nonmarkov import nm_measure
+from cavityflux.spectrum import classify
 from cavityflux.sweep import (
     SweepConfig,
     UnknownFigure,
@@ -39,10 +42,13 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field,value", [
     ("gamma", 0.0), ("gamma", -1.0), ("t_max", 0.0), ("t_max", -14.0),
-    ("dt", 0.0), ("dt", -1e-3), ("n_traj", -5)])
+    ("dt", 0.0), ("dt", -1e-3), ("n_traj", -5),
+    ("bin_width", 0.0), ("bin_width", 14.5)])
 def test_config_rejects_bad_physics(field, value):
+    # the bin width only matters to sampled flux
+    sampled = {"n_traj": 10, "master_seed": 1} if field == "bin_width" else {}
     with pytest.raises(ValueError, match=field):
-        _config(**{field: value})
+        _config(**{field: value}, **sampled)
 
 
 def test_config_grids():
@@ -75,6 +81,33 @@ def test_single_cell():
     assert cell["n_value"] > 0.0
     assert cell["verdict"] == "NonMarkovianDetected"
     assert cell["omega"] == pytest.approx(np.sqrt(20.0))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 10.0])
+def test_cells_match_measure_and_classify(gamma):
+    # a cell shares one kernel pass between measure and flux; each value
+    # must still equal the stand-alone nm_measure and classify
+    cfg = _config(v_min=0.0, v_max=2.0 * gamma, v_count=5,
+                  delta_min=-gamma, delta_max=2.0 * gamma, delta_count=4,
+                  gamma=gamma, t_max=14.0 / gamma, dt=1e-3 / gamma,
+                  omega_threshold=OMEGA_M * gamma)
+    region = run_sweep(cfg)
+    assert region.all_ok
+    labels = set()
+    for cell in region.iter_cells():
+        params = ModelParams(v=cell["v"], delta=cell["delta"], gamma=gamma,
+                             t_max=cfg.t_max)
+        verdict = classify(params, cfg.omega_threshold,
+                           min_prominence=cfg.min_prominence,
+                           ground_truth=True, dt=cfg.dt, eps_n=cfg.eps_n)
+        assert cell["n_value"] == nm_measure(params, cfg.dt).n_value
+        assert cell["n_value"] == verdict.n_value
+        assert cell["omega_peak"] == verdict.omega_peak
+        assert cell["prominence"] == verdict.prominence
+        assert cell["verdict"] == verdict.label
+        labels.add(verdict.note or verdict.label)
+    assert labels == {"zero flux", "Markovian", "NonMarkovianDetected",
+                      "NonMarkovianUndetectable"}
 
 
 def test_ground_truth_flips_at_resonant_threshold():
