@@ -20,6 +20,7 @@ import numpy as np
 
 from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
                        amplitude_series, photon_flux_analytic)
+from .files import write_csv
 from .nonmarkov import (BOUNDARY_DT, BOUNDARY_T_MAX, BOUNDARY_TOL_V,
                         markovian_boundary, nm_measure)
 from .spectrum import (DEFAULT_MIN_PROMINENCE, EmptyRegion, NoSignal,
@@ -102,9 +103,8 @@ def cmd_dynamics(args, parser) -> int:
 
     series = amplitude_series(params, dt)
     series.to_csv(out / "amplitudes.csv")
-    np.savetxt(out / "population.csv",
-               np.column_stack([series.times, series.population()]),
-               fmt="%.17g", delimiter=",", header="t,population", comments="")
+    write_csv(out / "population.csv", "t,population", series.times,
+              series.population())
     photon_flux_analytic(params, dt).to_csv(out / "flux.csv")
 
     if complex(params.c0_init) == 1.0 + 0.0j:
@@ -209,9 +209,7 @@ def cmd_classify(args, parser) -> int:
         deltas = np.linspace(0.0, 2.0 * gamma,
                              int(_merge(args, config, "boundary_points", 41)))
         boundary = markovian_boundary(
-            deltas, v_search=(0.05 * gamma, 1.2 * gamma),
-            tol_v=BOUNDARY_TOL_V * gamma, gamma=gamma,
-            t_max=BOUNDARY_T_MAX / gamma, dt=BOUNDARY_DT / gamma)
+            deltas, v_search=(0.05 * gamma, 1.2 * gamma), gamma=gamma)
         omega_threshold = threshold_frequency(boundary).omega_m
     verdict = classify(params, float(omega_threshold),
                        min_prominence=float(_merge(args, config,

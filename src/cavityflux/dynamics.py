@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import write_csv
+
 # below |d| t / 4 = SERIES_SWITCH the closed forms switch to the d -> 0
 # series limit; relative error of the switch is O(SERIES_SWITCH^2)
 SERIES_SWITCH = 1e-6
@@ -160,11 +162,9 @@ class AmplitudeSeries:
                 + self.c0_ground ** 2)
 
     def to_csv(self, path):
-        data = np.column_stack([self.times, self.c_values.real,
-                                self.c_values.imag, self.b_values.real,
-                                self.b_values.imag])
-        np.savetxt(path, data, fmt="%.17g", delimiter=",",
-                   header="t,re_c,im_c,re_b,im_b", comments="")
+        write_csv(path, "t,re_c,im_c,re_b,im_b", self.times,
+                  self.c_values.real, self.c_values.imag,
+                  self.b_values.real, self.b_values.imag)
 
 
 @dataclass(frozen=True)
@@ -188,8 +188,7 @@ class FluxSeries:
         return float(self.times[1] - self.times[0])
 
     def to_csv(self, path):
-        np.savetxt(path, np.column_stack([self.times, self.values]),
-                   fmt="%.17g", delimiter=",", header="t,flux", comments="")
+        write_csv(path, "t,flux", self.times, self.values)
 
 
 def amplitude_series(params: ModelParams, dt: float = DEFAULT_DT) -> AmplitudeSeries:

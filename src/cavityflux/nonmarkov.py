@@ -31,6 +31,7 @@ import numpy as np
 from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, SERIES_SWITCH, ModelParams,
                        amplitude_derivatives, amplitudes_analytic, splitting,
                        time_grid)
+from .files import write_csv
 
 ENDPOINT_TOL = 1e-8   # time tolerance of revival endpoint bisection
 
@@ -152,14 +153,6 @@ def _measure_from_signs(params, times, pos, dt) -> NMResult:
                     t_max=params.t_max, dt=dt)
 
 
-def is_nonmarkovian(params: ModelParams, eps_n: float = 1e-10,
-                    dt: float = DEFAULT_DT) -> bool:
-    """True iff the measure exceeds eps_n on the params horizon."""
-    if not eps_n > 0:
-        raise ValueError(f"eps_n must be > 0, got {eps_n}")
-    return nm_measure(params, dt).n_value > eps_n
-
-
 def _has_revival(v, delta, gamma, t_max, dt):
     # grid-sign detector without endpoint refinement; any strictly
     # positive sigma sample counts (infimum semantics for the boundary).
@@ -185,11 +178,7 @@ class BoundaryCurve:
     dt: float
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("delta,v_c\n")
-            for d, v in zip(self.deltas, self.v_c):
-                vtxt = "" if np.isnan(v) else f"{v:.17g}"
-                fh.write(f"{d:.17g},{vtxt}\n")
+        write_csv(path, "delta,v_c", self.deltas, self.v_c)
 
 
 def _boundary_column(args):
@@ -232,17 +221,18 @@ def parallel_map(fn, tasks, n_workers: int, chunksize: int) -> list:
 
 
 def markovian_boundary(delta_values, v_search=(0.05, 1.2),
-                       tol_v: float = BOUNDARY_TOL_V, gamma: float = 1.0,
-                       t_max: float = BOUNDARY_T_MAX,
-                       dt: float = BOUNDARY_DT,
+                       tol_v: float | None = None, gamma: float = 1.0,
+                       t_max: float | None = None, dt: float | None = None,
                        workers=None) -> BoundaryCurve:
     """Critical coupling V_c(delta) by bisection at each detuning.
 
     V_c is the infimum of couplings with any population revival within
     the horizon, so the detector is the strict sign of sigma rather than
-    a thresholded measure value.  The horizon defaults to 300/Gamma:
-    near threshold the first revival appears arbitrarily late, and the
-    14/Gamma measure window would overestimate V_c (by ~4% at delta=0).
+    a thresholded measure value.  The defaults are in units of gamma:
+    tol_v 1e-3 gamma, t_max 300/gamma and dt 0.01/gamma.  The horizon is
+    long because near threshold the first revival appears arbitrarily
+    late, and the 14/Gamma measure window would overestimate V_c (by ~4%
+    at delta=0).
 
     Detunings whose search window does not bracket the transition are
     reported in unbracketed, not raised.
@@ -250,6 +240,11 @@ def markovian_boundary(delta_values, v_search=(0.05, 1.2),
     v_lo, v_hi = v_search
     if not 0 <= v_lo < v_hi:
         raise ValueError(f"invalid v_search {v_search}")
+    if not gamma > 0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
+    tol_v = BOUNDARY_TOL_V * gamma if tol_v is None else tol_v
+    t_max = BOUNDARY_T_MAX / gamma if t_max is None else t_max
+    dt = BOUNDARY_DT / gamma if dt is None else dt
     deltas = np.asarray(delta_values, dtype=float)
     tasks = [(d, v_lo, v_hi, tol_v, gamma, t_max, dt) for d in deltas]
 
@@ -284,12 +279,9 @@ class SignMap:
         name = "delta" if self.axis == "delta" else "v"
         # rows run over times within each parameter value
         n_p, n_t = self.c_pos.shape
-        data = np.column_stack([np.tile(self.times, n_p),
-                                np.repeat(self.param_values, n_t),
-                                self.c_pos.ravel(), self.b_pos.ravel()])
-        np.savetxt(path, data, fmt=["%.17g", "%.17g", "%d", "%d"],
-                   delimiter=",", header=f"t,{name},c_pos,b_pos",
-                   comments="")
+        write_csv(path, f"t,{name},c_pos,b_pos", np.tile(self.times, n_p),
+                  np.repeat(self.param_values, n_t), self.c_pos.ravel(),
+                  self.b_pos.ravel())
 
 
 def sign_map(axis: str, fixed_value: float, param_values,

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DEFAULT_DT, FluxSeries, ModelParams, photon_flux_analytic
+from .files import write_csv
 from .nonmarkov import BoundaryCurve, nm_measure
 
 DEFAULT_MIN_PROMINENCE = 0.1
@@ -70,27 +71,20 @@ class SpectrumResult:
         return total
 
     def to_csv(self, path):
-        np.savetxt(path, np.column_stack([self.omega, self.power]),
-                   fmt="%.17g", delimiter=",", header="omega,power",
-                   comments="")
+        write_csv(path, "omega,power", self.omega, self.power)
 
 
-def dft(r, dt: float, window: str | None = None) -> SpectrumResult:
+def dft(r, dt: float) -> SpectrumResult:
     """Discrete Fourier transform of the detrended flux.
 
-    No window by default: the flux decays to ~0 within the horizon, so
-    leakage is already limited.  window="hann" is available but off for
-    reproduction runs.
+    No window: the flux decays to ~0 within the horizon, so leakage is
+    already limited.
     """
     r = np.asarray(r, dtype=float)
     n = r.size
     if n < 2:
         raise ValueError("need at least 2 samples")
     scale = float(np.max(np.abs(r)))
-    if window == "hann":
-        r = r * np.hanning(n)
-    elif window is not None:
-        raise ValueError(f"unknown window {window!r}")
     s = np.fft.rfft(r)
     omega = 2.0 * np.pi * np.fft.rfftfreq(n, dt)
     return SpectrumResult(omega=omega, s_values=s, power=np.abs(s) ** 2,

@@ -19,8 +19,8 @@ from . import __version__
 from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, FluxSeries, ModelParams,
                        amplitude_series, amplitudes_analytic,
                        photon_flux_analytic, time_grid)
-from .nonmarkov import (BOUNDARY_DT, BOUNDARY_T_MAX, BOUNDARY_TOL_V,
-                        _measure_from_signs, _sigma_from, markovian_boundary,
+from .files import write_csv, write_json
+from .nonmarkov import (_measure_from_signs, _sigma_from, markovian_boundary,
                         parallel_map, resolve_workers, sign_map)
 from .nonmarkov import nm_measure  # noqa: F401  (perfbench rebinds it here)
 from .spectrum import (DEFAULT_MIN_PROMINENCE, classify, coherent_frequency,
@@ -174,18 +174,12 @@ class RegionMap:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         manifest_path = out / "manifest.json"
-        with open(manifest_path, "w") as fh:
-            json.dump(self.manifest(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(manifest_path, self.manifest())
         cells_path = out / "cells.csv"
-        with open(cells_path, "w") as fh:
-            fh.write("delta,v,n_value,omega,omega_peak,prominence,verdict\n")
-            for c in self.iter_cells():
-                peak = "" if c["omega_peak"] is None else f"{c['omega_peak']:.17g}"
-                verdict = c["verdict"].replace(",", ";")
-                fh.write(f"{c['delta']:.17g},{c['v']:.17g},"
-                         f"{c['n_value']:.17g},{c['omega']:.17g},"
-                         f"{peak},{c['prominence']:.17g},{verdict}\n")
+        header = "delta,v,n_value,omega,omega_peak,prominence,verdict"
+        cells = list(self.iter_cells())
+        write_csv(cells_path, header,
+                  *([c[key] for c in cells] for key in header.split(",")))
         return [manifest_path, cells_path]
 
 
@@ -194,21 +188,16 @@ def run_sweep(config: SweepConfig, out_dir=None) -> RegionMap:
 
     The threshold frequency is taken from the config when given,
     otherwise computed once from the Markovian boundary over the
-    sweep's own delta grid and coupling window, with the boundary's
-    default horizon, step and tolerance taken in units of gamma.
+    sweep's own delta grid and coupling window.
     """
     deltas = config.delta_values()
     vs = config.v_values()
 
     omega_threshold = config.omega_threshold
     if omega_threshold is None:
-        gamma = config.gamma
         boundary = markovian_boundary(deltas,
                                       v_search=(config.v_min, config.v_max),
-                                      tol_v=BOUNDARY_TOL_V * gamma,
-                                      gamma=gamma,
-                                      t_max=BOUNDARY_T_MAX / gamma,
-                                      dt=BOUNDARY_DT / gamma)
+                                      gamma=config.gamma)
         omega_threshold = threshold_frequency(boundary, v_grid=vs).omega_m
 
     n_workers = resolve_workers(default=config.workers)
@@ -292,10 +281,8 @@ def figure_datasets(figure_id: int, out_dir, dt: float = DEFAULT_DT,
                 params = ModelParams(v=v, delta=delta)
                 series = amplitude_series(params, dt)
                 pop_path = out / f"population_v{v:g}_d{delta:g}.csv"
-                np.savetxt(pop_path,
-                           np.column_stack([series.times, series.population()]),
-                           fmt="%.17g", delimiter=",",
-                           header="t,population", comments="")
+                write_csv(pop_path, "t,population", series.times,
+                          series.population())
                 flux_path = out / f"flux_v{v:g}_d{delta:g}.csv"
                 photon_flux_analytic(params, dt).to_csv(flux_path)
                 paths += [pop_path, flux_path]
@@ -320,17 +307,12 @@ def figure_datasets(figure_id: int, out_dir, dt: float = DEFAULT_DT,
         dd, vv = np.meshgrid(deltas, vs, indexing="ij")
         omega = np.hypot(2.0 * vv, dd)
         mpath = out / "omega_map.csv"
-        np.savetxt(mpath,
-                   np.column_stack([dd.ravel(), vv.ravel(), omega.ravel()]),
-                   fmt="%.17g", delimiter=",", header="delta,v,omega",
-                   comments="")
+        write_csv(mpath, "delta,v,omega", dd.ravel(), vv.ravel(),
+                  omega.ravel())
         thr = threshold_frequency(boundary, v_grid=vs)
         tpath = out / "threshold.json"
-        with open(tpath, "w") as fh:
-            json.dump({"omega_m": thr.omega_m, "v_star": thr.v_star,
-                       "delta_star": thr.delta_star}, fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
+        write_json(tpath, {"omega_m": thr.omega_m, "v_star": thr.v_star,
+                           "delta_star": thr.delta_star})
         paths += [bpath, mpath, tpath]
 
     elif figure_id == 4:
@@ -345,9 +327,7 @@ def figure_datasets(figure_id: int, out_dir, dt: float = DEFAULT_DT,
             peaks[f"d{delta:g}_v{v:g}"] = {"omega_peak": peak.omega_peak,
                                            "prominence": peak.prominence}
         ppath = out / "peaks.json"
-        with open(ppath, "w") as fh:
-            json.dump(peaks, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(ppath, peaks)
         paths.append(ppath)
 
     paths.append(_write_plot_stub(out))

@@ -24,8 +24,6 @@ per-trajectory draw.
 
 from __future__ import annotations
 
-import json
-import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -35,12 +33,10 @@ import numpy as np
 from . import __version__
 from .dynamics import (DEFAULT_DT, FluxSeries, ModelParams,
                        amplitudes_analytic, flux_at, time_grid)
+from .files import write_csv, write_json
 
 JUMP_TOL = 1e-10   # time tolerance of the jump-time bisection
 DEFAULT_BIN_WIDTH = 0.1
-# jumps.csv rows are formatted and written this many at a time: one write
-# per block, without holding a string per trajectory for the whole record
-_CSV_BLOCK_ROWS = 1024
 
 
 class InvalidBinning(ValueError):
@@ -195,13 +191,8 @@ class JumpRecord:
         return int(np.sum(~np.isnan(self.jump_times)))
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("trajectory_index,jump_time\n")
-            for start in range(0, self.jump_times.size, _CSV_BLOCK_ROWS):
-                block = self.jump_times[start:start + _CSV_BLOCK_ROWS]
-                fh.write("".join(
-                    f"{i},\n" if math.isnan(jt) else f"{i},{jt:.17g}\n"
-                    for i, jt in enumerate(block.tolist(), start)))
+        write_csv(path, "trajectory_index,jump_time",
+                  np.arange(self.jump_times.size), self.jump_times)
 
     def manifest(self, bin_width=None) -> dict:
         p = self.params
@@ -217,9 +208,7 @@ class JumpRecord:
         }
 
     def write_manifest(self, path, bin_width=None):
-        with open(path, "w") as fh:
-            json.dump(self.manifest(bin_width), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.manifest(bin_width))
 
 
 def _invert_survival(params, times, n2, us):

@@ -15,7 +15,6 @@ from cavityflux.nonmarkov import (
     BOUNDARY_T_MAX,
     BoundaryCurve,
     UnsupportedInitialState,
-    is_nonmarkovian,
     markovian_boundary,
     mode_gain_values,
     nm_measure,
@@ -129,17 +128,16 @@ def test_measure_sign_consistency():
 
 
 def test_is_nonmarkovian_threshold():
+    def nonmarkovian(params):
+        return nm_measure(params).n_value > 1e-10
+
     # just above the resonant threshold the first revival sits near
     # t = 15..19, so the horizon must reach past it
-    assert is_nonmarkovian(ModelParams(v=0.3, delta=0.0, t_max=30.0))
-    assert not is_nonmarkovian(ModelParams(v=0.3, delta=0.0))  # window too short
-    assert not is_nonmarkovian(ModelParams(v=0.2, delta=0.0, t_max=300.0))
+    assert nonmarkovian(ModelParams(v=0.3, delta=0.0, t_max=30.0))
+    assert not nonmarkovian(ModelParams(v=0.3, delta=0.0))  # window too short
+    assert not nonmarkovian(ModelParams(v=0.2, delta=0.0, t_max=300.0))
     # off resonance the boundary sits above V = gamma/2
-    assert not is_nonmarkovian(ModelParams(v=0.5, delta=1.0, t_max=300.0))
-    with pytest.raises(ValueError):
-        is_nonmarkovian(ModelParams(v=1.0, delta=0.0), eps_n=0.0)
-    with pytest.raises(ValueError):
-        is_nonmarkovian(ModelParams(v=1.0, delta=0.0), eps_n=-1.0)
+    assert not nonmarkovian(ModelParams(v=0.5, delta=1.0, t_max=300.0))
 
 
 def _boundary_grid():
@@ -288,13 +286,13 @@ def test_measure_matches_scalar_bisection(params, dt, open_end):
 
 
 def test_boundary_long_absolute_horizon_does_not_overflow():
-    # at gamma = 10 the default horizon of 300 is 3000/gamma: the old
-    # closed forms overflowed cosh there and read NaN as "no revival"
+    # at gamma = 10 a horizon of 300 is 3000/gamma: the old closed forms
+    # overflowed cosh there and read NaN as "no revival"
     deltas = np.linspace(0.0, 20.0, 9)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         curve = markovian_boundary(deltas, v_search=(0.5, 12.0), tol_v=1e-2,
-                                   gamma=10.0)
+                                   gamma=10.0, t_max=300.0, dt=1e-2)
     reference = markovian_boundary(deltas / 10.0, v_search=(0.05, 1.2))
     bracketed = np.isfinite(reference.v_c)
     assert bracketed.sum() >= 7
@@ -302,6 +300,17 @@ def test_boundary_long_absolute_horizon_does_not_overflow():
     # a longer horizon can only lower V_c, and only slightly here
     assert_allclose(curve.v_c[bracketed] / 10.0, reference.v_c[bracketed],
                     atol=2e-3)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 10.0])
+def test_boundary_defaults_are_in_units_of_gamma(gamma):
+    curve = markovian_boundary([0.0], v_search=(0.05 * gamma, 1.2 * gamma),
+                               gamma=gamma)
+    reference = markovian_boundary([0.0])
+    assert curve.t_max == 300.0 / gamma
+    assert curve.dt == 0.01 / gamma
+    assert curve.tol_v == 1e-3 * gamma
+    assert abs(curve.v_c[0] / gamma - reference.v_c[0]) <= reference.tol_v
 
 
 def test_boundary_resonant():
@@ -340,6 +349,8 @@ def test_boundary_validation():
         markovian_boundary([0.0], v_search=(0.5, 0.2))
     with pytest.raises(ValueError):
         markovian_boundary([0.0], v_search=(-0.1, 0.5))
+    with pytest.raises(ValueError):     # the defaults are in units of gamma
+        markovian_boundary([0.0], gamma=0.0)
 
 
 def test_boundary_csv(tmp_path):

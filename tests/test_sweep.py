@@ -143,10 +143,10 @@ def test_auto_threshold():
     assert region.manifest()["omega_threshold"] == region.omega_threshold
 
 
-def test_error_isolation():
+def test_error_isolation(tmp_path):
     cfg = _config(v_min=-0.1, v_max=0.2, v_count=2,
                   delta_min=0.0, delta_max=0.0, delta_count=1)
-    region = run_sweep(cfg)
+    region = run_sweep(cfg, out_dir=tmp_path)
     cells = list(region.iter_cells())
     assert cells[0]["verdict"] == "Error(ValueError)"
     assert cells[0]["error"]
@@ -154,6 +154,10 @@ def test_error_isolation():
     assert cells[1]["verdict"] == "Markovian"   # the sweep carries on
     assert not region.all_ok
     assert len(region.errors) == 1
+    # the error row's NaN n_value and prominence are empty fields
+    row = (tmp_path / "cells.csv").read_text().splitlines()[1].split(",")
+    assert row[2] == "" and row[5] == ""
+    assert row[6] == "Error(ValueError)"
 
 
 @pytest.mark.parametrize("master_seed,cell_index",
