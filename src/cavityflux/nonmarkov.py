@@ -34,7 +34,10 @@ from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, SERIES_SWITCH, ModelParams,
 from .files import write_csv
 
 ENDPOINT_TOL = 1e-8   # time tolerance of revival endpoint bisection
+EPS_N = 1e-10         # a measure above this counts as non-Markovian
 
+# boundary defaults, in units of gamma
+BOUNDARY_V_SEARCH = (0.05, 1.2)
 BOUNDARY_T_MAX = 300.0
 BOUNDARY_DT = 1e-2
 BOUNDARY_TOL_V = 1e-3
@@ -220,7 +223,7 @@ def parallel_map(fn, tasks, n_workers: int, chunksize: int) -> list:
     return [fn(t) for t in tasks]
 
 
-def markovian_boundary(delta_values, v_search=(0.05, 1.2),
+def markovian_boundary(delta_values, v_search=None,
                        tol_v: float | None = None, gamma: float = 1.0,
                        t_max: float | None = None, dt: float | None = None,
                        workers=None) -> BoundaryCurve:
@@ -229,19 +232,20 @@ def markovian_boundary(delta_values, v_search=(0.05, 1.2),
     V_c is the infimum of couplings with any population revival within
     the horizon, so the detector is the strict sign of sigma rather than
     a thresholded measure value.  The defaults are in units of gamma:
-    tol_v 1e-3 gamma, t_max 300/gamma and dt 0.01/gamma.  The horizon is
-    long because near threshold the first revival appears arbitrarily
-    late, and the 14/Gamma measure window would overestimate V_c (by ~4%
-    at delta=0).
+    v_search (0.05, 1.2) gamma, tol_v 1e-3 gamma, t_max 300/gamma and
+    dt 0.01/gamma.  The horizon is long because near threshold the first
+    revival appears arbitrarily late, and the 14/Gamma measure window
+    would overestimate V_c (by ~4% at delta=0).
 
     Detunings whose search window does not bracket the transition are
     reported in unbracketed, not raised.
     """
-    v_lo, v_hi = v_search
-    if not 0 <= v_lo < v_hi:
-        raise ValueError(f"invalid v_search {v_search}")
     if not gamma > 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
+    v_lo, v_hi = (v_search if v_search is not None
+                  else [v * gamma for v in BOUNDARY_V_SEARCH])
+    if not 0 <= v_lo < v_hi:
+        raise ValueError(f"invalid v_search {v_search}")
     tol_v = BOUNDARY_TOL_V * gamma if tol_v is None else tol_v
     t_max = BOUNDARY_T_MAX / gamma if t_max is None else t_max
     dt = BOUNDARY_DT / gamma if dt is None else dt

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import DEFAULT_DT, FluxSeries, ModelParams, photon_flux_analytic
 from .files import write_csv
-from .nonmarkov import BoundaryCurve, nm_measure
+from .nonmarkov import EPS_N, BoundaryCurve, nm_measure
 
 DEFAULT_MIN_PROMINENCE = 0.1
 NO_SIGNAL_REL = 1e-30       # of signal-scale squared
@@ -248,7 +248,7 @@ class RegionVerdict:
 def classify(params: ModelParams, omega_threshold: float,
              min_prominence: float = DEFAULT_MIN_PROMINENCE,
              flux: FluxSeries | None = None, ground_truth: bool = False,
-             dt: float = DEFAULT_DT, eps_n: float = 1e-10,
+             dt: float = DEFAULT_DT, eps_n: float = EPS_N,
              n_value: float | None = None) -> RegionVerdict:
     """Spectral non-Markovianity verdict for one parameter point.
 

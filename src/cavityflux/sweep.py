@@ -20,8 +20,9 @@ from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, FluxSeries, ModelParams,
                        amplitude_series, amplitudes_analytic,
                        photon_flux_analytic, time_grid)
 from .files import write_csv, write_json
-from .nonmarkov import (_measure_from_signs, _sigma_from, markovian_boundary,
-                        parallel_map, resolve_workers, sign_map)
+from .nonmarkov import (EPS_N, _measure_from_signs, _sigma_from,
+                        markovian_boundary, parallel_map, resolve_workers,
+                        sign_map)
 from .nonmarkov import nm_measure  # noqa: F401  (perfbench rebinds it here)
 from .spectrum import (DEFAULT_MIN_PROMINENCE, classify, coherent_frequency,
                        detrend, dft, dominant_peak, threshold_frequency)
@@ -58,7 +59,7 @@ class SweepConfig:
     master_seed: int | None = None
     omega_threshold: float | None = None   # None = compute from boundary
     min_prominence: float = DEFAULT_MIN_PROMINENCE
-    eps_n: float = 1e-10
+    eps_n: float = EPS_N
     workers: int | None = None   # None = 1 worker; NM_WORKERS overrides
 
     def __post_init__(self):

@@ -332,6 +332,70 @@ def test_config_file_precedence(tmp_path):
     assert json.loads(stdout)["is_nonmarkovian"] is True
 
 
+def test_omega_threshold_in_units_of_gamma(capsys):
+    # the threshold is a frequency, so --gamma rescales it like --v
+    labels = set()
+    for gamma in (0.5, 1.0, 10.0):
+        assert cli.main(["classify", "--v", "1.2", "--delta", "-1.5",
+                         "--omega-threshold", "1.817", "--ground-truth",
+                         "--gamma", str(gamma)]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        labels.add(verdict["label"])
+        assert verdict["omega_threshold"] / gamma == pytest.approx(
+            1.817, rel=1e-15)
+    assert len(labels) == 1
+
+
+# one invocation per subcommand as flag -> value; True is a bare switch
+PARITY = {
+    "dynamics": {"v": 1, "delta": 0.5, "c0_re": 0.6, "c0_im": 0.3,
+                 "t_max": 10, "dt": 0.002, "out": "run"},
+    "mcwf": {"v": 1, "delta": 0, "n_traj": 200, "seed": 3, "bin": 0.5,
+             "out": "run"},
+    "measure": {"v": 1, "delta": 0, "eps_n": 0.5, "t_max": 20},
+    "boundary": {"delta_min": 0, "delta_max": 1, "delta_count": 3,
+                 "v_lo": 0.1, "v_hi": 1, "tol": 0.01, "t_max": 100,
+                 "dt": 0.02, "workers": 1, "out": "b.csv"},
+    "spectrum": {"v": 2, "delta": 2, "out": "s.csv"},
+    "classify": {"v": 0, "delta": 0, "omega_threshold": 1.8,
+                 "strict": True},
+    "classify-auto": {"v": 0.9, "delta": 0, "auto_threshold": True,
+                      "boundary_points": 3, "ground_truth": True,
+                      "min_prominence": 0.1},
+}
+
+
+def _run_in(path, argv, monkeypatch, capsys):
+    path.mkdir()
+    monkeypatch.chdir(path)
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    files = {str(f.relative_to(path)): f.read_bytes()
+             for f in sorted(path.rglob("*")) if f.is_file()}
+    return code, out, err, files
+
+
+@pytest.mark.parametrize("case", sorted(PARITY))
+def test_config_matches_flags(case, tmp_path, monkeypatch, capsys):
+    command = case.split("-")[0]
+    values = {**PARITY[case], "gamma": 2.5}
+    flags = []
+    for key, value in values.items():
+        flags.append("--" + key.replace("_", "-"))
+        if value is not True:
+            flags.append(str(value))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    by_flags = _run_in(tmp_path / "flags", [command] + flags, monkeypatch,
+                       capsys)
+    by_config = _run_in(tmp_path / "config", [command, "--config",
+                                              str(config)],
+                        monkeypatch, capsys)
+    assert by_config == by_flags
+    if command not in ("measure", "classify"):
+        assert by_flags[3]          # the output files, under --out
+
+
 def test_sweep_cli(tmp_path):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({

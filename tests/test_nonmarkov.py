@@ -304,13 +304,18 @@ def test_boundary_long_absolute_horizon_does_not_overflow():
 
 @pytest.mark.parametrize("gamma", [0.1, 10.0])
 def test_boundary_defaults_are_in_units_of_gamma(gamma):
-    curve = markovian_boundary([0.0], v_search=(0.05 * gamma, 1.2 * gamma),
-                               gamma=gamma)
-    reference = markovian_boundary([0.0])
+    deltas = np.linspace(0.0, 2.0, 5)
+    curve = markovian_boundary(deltas * gamma, gamma=gamma)
+    reference = markovian_boundary(deltas)
+    assert curve.v_search == (0.05 * gamma, 1.2 * gamma)
     assert curve.t_max == 300.0 / gamma
     assert curve.dt == 0.01 / gamma
     assert curve.tol_v == 1e-3 * gamma
-    assert abs(curve.v_c[0] / gamma - reference.v_c[0]) <= reference.tol_v
+    # the unbracketed columns, NaN in v_c, must match too
+    assert [kind for _, kind in curve.unbracketed] == \
+        [kind for _, kind in reference.unbracketed]
+    assert_allclose(curve.v_c / gamma, reference.v_c, rtol=0,
+                    atol=reference.tol_v)
 
 
 def test_boundary_resonant():

@@ -110,6 +110,20 @@ def test_cells_match_measure_and_classify(gamma):
                       "NonMarkovianUndetectable"}
 
 
+def test_sweep_in_units_of_gamma():
+    # every rate times gamma and every time over gamma: same map
+    def sweep(gamma):
+        return list(run_sweep(_config(
+            v_min=0.05 * gamma, v_max=1.2 * gamma, v_count=5,
+            delta_min=0.0, delta_max=2.0 * gamma, delta_count=5,
+            gamma=gamma, t_max=14.0 / gamma, dt=1e-3 / gamma,
+            omega_threshold=OMEGA_M * gamma)).iter_cells())
+    for cell, ref in zip(sweep(10.0), sweep(1.0), strict=True):
+        assert cell["verdict"] == ref["verdict"]
+        assert cell["n_value"] == pytest.approx(ref["n_value"], rel=0,
+                                                abs=1e-9)
+
+
 def test_ground_truth_flips_at_resonant_threshold():
     # the resonant critical coupling is gamma/4; just above it the first
     # revival arrives near t = 15..19, hence the longer horizon

@@ -220,6 +220,20 @@ def test_estimate_reuses_record():
     assert reused.n_traj == 400
 
 
+@pytest.mark.parametrize("gamma", [0.25, 10.0, 1000.0])
+def test_estimate_flux_in_units_of_gamma(gamma):
+    # rates times gamma, times over gamma: the same draws land in the
+    # same bins, whose centres scale with 1/gamma
+    for seed in (1, 2, 3):
+        ref = estimate_flux(STRONG, 20000, bin_width=0.2, master_seed=seed)
+        params = ModelParams(v=gamma, delta=0.0, gamma=gamma,
+                             t_max=STRONG.t_max / gamma)
+        flux = estimate_flux(params, 20000, bin_width=0.2 / gamma,
+                             master_seed=seed, dt=DEFAULT_DT / gamma)
+        assert_array_equal(flux.counts, ref.counts)
+        assert_allclose(flux.times * gamma, ref.times, rtol=1e-12)
+
+
 def test_poisson_coverage():
     n = 20000
     est = estimate_flux(STRONG, n, bin_width=0.1, master_seed=42)
