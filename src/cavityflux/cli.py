@@ -119,7 +119,7 @@ def cmd_dynamics(args) -> int:
     series.to_csv(out / "amplitudes.csv")
     write_csv(out / "population.csv", "t,population", series.times,
               series.population())
-    photon_flux_analytic(params, args.dt).to_csv(out / "flux.csv")
+    series.flux(params.gamma).to_csv(out / "flux.csv")
 
     if complex(params.c0_init) == 1.0 + 0.0j:
         result = nm_measure(params, args.dt)

@@ -156,6 +156,12 @@ class AmplitudeSeries:
     def mode_population(self) -> np.ndarray:
         return np.abs(self.b_values) ** 2
 
+    def flux(self, gamma: float) -> FluxSeries:
+        """Analytic photon flux R(t) = gamma |b(t)|^2 on the same grid."""
+        return FluxSeries(times=self.times,
+                          values=gamma * self.mode_population(),
+                          kind="analytic")
+
     def survival(self) -> np.ndarray:
         """Squared norm of the unnormalised state (no-jump probability)."""
         return (np.abs(self.c_values) ** 2 + np.abs(self.b_values) ** 2
@@ -201,9 +207,7 @@ def amplitude_series(params: ModelParams, dt: float = DEFAULT_DT) -> AmplitudeSe
 
 def photon_flux_analytic(params: ModelParams, dt: float = DEFAULT_DT) -> FluxSeries:
     """Deterministic photon flux R(t) = gamma |b(t)|^2 on a uniform grid."""
-    series = amplitude_series(params, dt)
-    values = params.gamma * series.mode_population()
-    return FluxSeries(times=series.times, values=values, kind="analytic")
+    return amplitude_series(params, dt).flux(params.gamma)
 
 
 def flux_at(params: ModelParams, t) -> np.ndarray:

@@ -13,11 +13,12 @@ sign of sigma: near the boundary revivals are exponentially small in
 Gamma t but keep a clean floating-point sign, while any absolute cutoff
 would swallow them and bias the boundary location.
 
-The Markovian boundary needs only that sign, so its bisection probes
-scan sigma_positive, which drops the decaying envelopes and cannot
-overflow at any horizon.  Each probe scans the first SCAN_HEAD samples
-first and stops at a revival there; only probes without one scan the
-rest of the grid.
+The measure, the Markovian boundary and sign_map all take that sign
+from sigma_positive, which drops the decaying envelopes: it cannot
+overflow at any horizon, and revivals keep their sign after the
+envelope underflows, so revival intervals run to the horizon.  Each
+boundary probe scans the first SCAN_HEAD samples first and stops at a
+revival there; only probes without one scan the rest of the grid.
 """
 
 from __future__ import annotations
@@ -54,11 +55,6 @@ class UnsupportedInitialState(ValueError):
 def sigma_values(params: ModelParams, t):
     """sigma(t) = d|c(t)|^2/dt = 2 Re(conj(c) dc/dt), analytic."""
     c, b = amplitudes_analytic(params, t)
-    return _sigma_from(params, t, c, b)
-
-
-def _sigma_from(params, t, c, b):
-    # sigma from amplitudes (c, b) already evaluated at t
     dc, _ = amplitude_derivatives(params, t, c=c, b=b)
     return 2.0 * np.real(np.conj(c) * dc)
 
@@ -122,21 +118,17 @@ def nm_measure(params: ModelParams, dt: float = DEFAULT_DT) -> NMResult:
     """
     _require_unit_c0(params)
     times = time_grid(params.t_max, dt)
-    pos = sigma_values(params, times) > 0.0
-    return _measure_from_signs(params, times, pos, dt)
-
-
-def _measure_from_signs(params, times, pos, dt) -> NMResult:
-    # pos is sigma > 0 on times; sigma(0) = 0, so crossings alternate
-    # rising, falling, ...  All are bisected in lock step, one sigma pass
-    # over the still-active midpoints per step.
+    pos = sigma_positive(params, times)
+    # sigma(0) = 0, so crossings alternate rising, falling, ...  All are
+    # bisected in lock step, one sign pass over the still-active
+    # midpoints per step.
     edges = np.flatnonzero(pos[1:] != pos[:-1])
     lo, hi = times[edges], times[edges + 1]
     rising = pos[edges + 1]
     active = np.flatnonzero(hi - lo > ENDPOINT_TOL)
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
-        up = (sigma_values(params, mid) > 0.0) == rising[active]
+        up = sigma_positive(params, mid) == rising[active]
         hi[active[up]] = mid[up]
         lo[active[~up]] = mid[~up]
         active = active[hi[active] - lo[active] > ENDPOINT_TOL]
@@ -303,16 +295,9 @@ def sign_map(axis: str, fixed_value: float, param_values,
     c_pos = np.empty((param_values.size, times.size), dtype=bool)
     b_pos = np.empty_like(c_pos)
     for i, p in enumerate(param_values):
-        if axis == "delta":
-            params = ModelParams(v=fixed_value, delta=p, gamma=gamma,
-                                 t_max=t_max)
-        else:
-            params = ModelParams(v=p, delta=fixed_value, gamma=gamma,
-                                 t_max=t_max)
-        # one kernel pass per row for both sigma and mode_gain_values
-        c, b = amplitudes_analytic(params, times)
-        dc, db = amplitude_derivatives(params, times, c=c, b=b)
-        c_pos[i] = 2.0 * np.real(np.conj(c) * dc) > 0.0
-        b_pos[i] = 2.0 * params.gamma * np.real(np.conj(b) * db) > 0.0
+        v, delta = (fixed_value, p) if axis == "delta" else (p, fixed_value)
+        params = ModelParams(v=v, delta=delta, gamma=gamma, t_max=t_max)
+        c_pos[i] = sigma_positive(params, times)
+        b_pos[i] = mode_gain_values(params, times) > 0.0
     return SignMap(axis=axis, fixed_value=fixed_value, times=times,
                    param_values=param_values, c_pos=c_pos, b_pos=b_pos)

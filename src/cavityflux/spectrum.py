@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DEFAULT_DT, FluxSeries, ModelParams, photon_flux_analytic
+from .dynamics import DEFAULT_DT, FluxSeries, ModelParams, amplitude_series
 from .files import write_csv
 from .nonmarkov import EPS_N, BoundaryCurve, nm_measure
 
@@ -248,18 +248,21 @@ class RegionVerdict:
 def classify(params: ModelParams, omega_threshold: float,
              min_prominence: float = DEFAULT_MIN_PROMINENCE,
              flux: FluxSeries | None = None, ground_truth: bool = False,
-             dt: float = DEFAULT_DT, eps_n: float = EPS_N,
-             n_value: float | None = None) -> RegionVerdict:
+             dt: float = DEFAULT_DT, eps_n: float = EPS_N) -> RegionVerdict:
     """Spectral non-Markovianity verdict for one parameter point.
 
     Detection requires the dominant line above omega_threshold with at
     least min_prominence.  flux defaults to the analytic R(t); an
     mcwf-estimate FluxSeries is accepted unchanged.  With ground_truth
-    the measure is evaluated (or taken from n_value if precomputed) to
-    refine undetected points into Markovian vs NonMarkovianUndetectable.
+    the measure is evaluated to refine undetected points into Markovian
+    vs NonMarkovianUndetectable.
     """
     if flux is None:
-        flux = photon_flux_analytic(params, dt)
+        # bound to a name, so the amplitudes live until the measure has
+        # run: freed earlier, their pages go back to the system and the
+        # measure faults them in again
+        series = amplitude_series(params, dt)
+        flux = series.flux(params.gamma)
     note = None
     try:
         spec = dft(detrend(flux), flux.dt)
@@ -272,8 +275,7 @@ def classify(params: ModelParams, omega_threshold: float,
         omega_peak, prominence, detected = None, 0.0, False
         note = "zero flux"
 
-    if ground_truth and n_value is None:
-        n_value = nm_measure(params, dt).n_value
+    n_value = nm_measure(params, dt).n_value if ground_truth else None
 
     if detected:
         label = "NonMarkovianDetected"

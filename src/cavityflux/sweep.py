@@ -9,20 +9,17 @@ and versions but no timestamps, keeping reruns byte-identical.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, FluxSeries, ModelParams,
-                       amplitude_series, amplitudes_analytic,
-                       photon_flux_analytic, time_grid)
+from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
+                       amplitude_series, photon_flux_analytic)
 from .files import write_csv, write_json
-from .nonmarkov import (EPS_N, _measure_from_signs, _sigma_from,
-                        markovian_boundary, parallel_map, resolve_workers,
-                        sign_map)
+from .nonmarkov import (EPS_N, markovian_boundary, parallel_map,
+                        resolve_workers, sign_map)
 from .nonmarkov import nm_measure  # noqa: F401  (perfbench rebinds it here)
 from .spectrum import (DEFAULT_MIN_PROMINENCE, classify, coherent_frequency,
                        detrend, dft, dominant_peak, threshold_frequency)
@@ -85,11 +82,6 @@ class SweepConfig:
     def delta_values(self) -> np.ndarray:
         return np.linspace(self.delta_min, self.delta_max, self.delta_count)
 
-    @classmethod
-    def from_json(cls, path) -> "SweepConfig":
-        with open(path) as fh:
-            return cls(**json.load(fh))
-
 
 def _cell_seed(master_seed: int, cell_index: int) -> int:
     # key word 0 is SeedSequence(master_seed, spawn_key=(cell_index,))
@@ -103,22 +95,16 @@ def _sweep_cell(config: SweepConfig, delta: float, v: float,
     try:
         params = ModelParams(v=v, delta=delta, gamma=config.gamma,
                              t_max=config.t_max)
-        # one kernel pass feeds both the measure and the analytic flux
-        times = time_grid(config.t_max, config.dt)
-        c, b = amplitudes_analytic(params, times)
-        pos = _sigma_from(params, times, c, b) > 0.0
-        n_value = _measure_from_signs(params, times, pos, config.dt).n_value
+        flux = None             # None = analytic flux, inside classify
         if config.n_traj > 0:
             flux = estimate_flux(params, config.n_traj, config.bin_width,
                                  _cell_seed(config.master_seed, cell_index),
                                  config.dt)
-        else:
-            flux = FluxSeries(times, config.gamma * np.abs(b) ** 2, "analytic")
         verdict = classify(params, omega_threshold,
                            min_prominence=config.min_prominence, flux=flux,
                            ground_truth=True, dt=config.dt,
-                           eps_n=config.eps_n, n_value=n_value)
-        return {"delta": delta, "v": v, "n_value": n_value,
+                           eps_n=config.eps_n)
+        return {"delta": delta, "v": v, "n_value": verdict.n_value,
                 "omega": coherent_frequency(v, delta),
                 "omega_peak": verdict.omega_peak,
                 "prominence": verdict.prominence,
@@ -285,7 +271,7 @@ def figure_datasets(figure_id: int, out_dir, dt: float = DEFAULT_DT,
                 write_csv(pop_path, "t,population", series.times,
                           series.population())
                 flux_path = out / f"flux_v{v:g}_d{delta:g}.csv"
-                photon_flux_analytic(params, dt).to_csv(flux_path)
+                series.flux(params.gamma).to_csv(flux_path)
                 paths += [pop_path, flux_path]
 
     elif figure_id == 2:

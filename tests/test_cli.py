@@ -413,6 +413,22 @@ def test_sweep_cli(tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
+def test_sweep_cli_out_dir_key(tmp_path):
+    # the config's out_dir names the output directory; --out wins over it
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "v_min": 0.5, "v_max": 0.5, "v_count": 1,
+        "delta_min": 0.0, "delta_max": 0.0, "delta_count": 1,
+        "omega_threshold": 1.817, "out_dir": str(tmp_path / "key")}))
+    code, _, _ = run_cli("sweep", str(config), "--out", str(tmp_path / "flag"))
+    assert code == 0
+    assert (tmp_path / "flag" / "cells.csv").is_file()
+    assert not (tmp_path / "key").exists()
+    code, _, _ = run_cli("sweep", str(config))
+    assert code == 0
+    assert (tmp_path / "key" / "cells.csv").is_file()
+
+
 def test_sweep_cli_reports_cell_errors(tmp_path):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({

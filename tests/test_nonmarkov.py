@@ -127,6 +127,26 @@ def test_measure_sign_consistency():
             assert result.n_value > 0.0
 
 
+def test_measure_long_horizon_does_not_overflow():
+    # sinh(d t / 4) of the closed forms overflows near t = 2980 here;
+    # the sign scan drops it and finds no revival, as the boundary does
+    params = ModelParams(v=0.3, delta=1.5, t_max=4000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = nm_measure(params, 1e-2)
+    assert result.n_value == 0.0
+    assert result.revival_intervals == []
+
+
+def test_measure_revivals_outlive_the_envelope():
+    # e^{-gamma t / 2} underflows near t = 149, but the revivals go on
+    # to the horizon; their populations, and so the measure, stay put
+    params = ModelParams(v=5.0, delta=0.0, gamma=10.0, t_max=300.0)
+    result = nm_measure(params, 1e-2)
+    assert result.revival_intervals[-1][1] > 290.0
+    assert result.n_value == 0.02730571763467505
+
+
 def test_is_nonmarkovian_threshold():
     def nonmarkovian(params):
         return nm_measure(params).n_value > 1e-10

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cavityflux.dynamics import FluxSeries, ModelParams, photon_flux_analytic
+from cavityflux import dynamics, nonmarkov
+from cavityflux.dynamics import (DEFAULT_DT, FluxSeries, ModelParams,
+                                 amplitudes_analytic, photon_flux_analytic,
+                                 time_grid)
 from cavityflux.nonmarkov import markovian_boundary, nm_measure
 from cavityflux.spectrum import (
     SHOULDER_FLOOR,
@@ -245,6 +248,28 @@ def test_threshold_frequency_empty_region():
         threshold_frequency(curve)
 
 
+def test_threshold_frequency_in_units_of_gamma():
+    # detunings and the coupling grid scaled by gamma, the boundary's
+    # defaults in units of gamma: Omega_M and its argmax scale with gamma
+    deltas = np.linspace(0.0, 2.0, 9)
+    vs = np.linspace(0.05, 1.2, 50)
+
+    def run(gamma):
+        curve = markovian_boundary(deltas * gamma, gamma=gamma)
+        return threshold_frequency(curve, v_grid=vs * gamma)
+
+    reference = run(1.0)
+    assert reference.delta_star == 1.75
+    for gamma in (0.1, 10.0):
+        thr = run(gamma)
+        assert thr.omega_m / gamma == pytest.approx(reference.omega_m,
+                                                    rel=1e-12, abs=0.0)
+        assert thr.v_star / gamma == pytest.approx(reference.v_star,
+                                                   rel=1e-12, abs=0.0)
+        assert thr.delta_star / gamma == pytest.approx(reference.delta_star,
+                                                       rel=1e-12, abs=0.0)
+
+
 OMEGA_M = 1.8170
 
 
@@ -301,11 +326,23 @@ def test_classify_accepts_estimated_flux():
     assert verdict.label == "NonMarkovianDetected"
 
 
-def test_classify_n_value_passthrough():
-    verdict = classify(ModelParams(v=0.9, delta=0.0), OMEGA_M,
-                       ground_truth=True, n_value=0.42)
-    assert verdict.n_value == 0.42
-    assert verdict.label == "NonMarkovianUndetectable"
+def test_classify_evaluates_the_grid_once(monkeypatch):
+    # the analytic flux is the one kernel pass on the grid; the measure
+    # scans the sign of sigma and evaluates only revival endpoints
+    params = ModelParams(v=1.0, delta=0.5)
+    grid = time_grid(params.t_max, DEFAULT_DT)
+    full_grid_calls = []
+
+    def counting(p, t):
+        if np.shape(t) == grid.shape and np.array_equal(t, grid):
+            full_grid_calls.append(p)
+        return amplitudes_analytic(p, t)
+
+    for mod in (dynamics, nonmarkov):
+        monkeypatch.setattr(mod, "amplitudes_analytic", counting)
+    verdict = classify(params, OMEGA_M, ground_truth=True)
+    assert len(full_grid_calls) == 1
+    assert verdict.n_value == nm_measure(params).n_value > 0.0
 
 
 def test_verdict_serialization():

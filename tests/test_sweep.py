@@ -57,19 +57,6 @@ def test_config_grids():
     assert_allclose(cfg.delta_values(), np.linspace(0.0, 2.0, 4))
 
 
-def test_config_from_json(tmp_path):
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps({
-        "v_min": 0.1, "v_max": 1.0, "v_count": 3,
-        "delta_min": 0.0, "delta_max": 1.0, "delta_count": 2,
-        "omega_threshold": 1.8, "n_traj": 50, "master_seed": 7}))
-    cfg = SweepConfig.from_json(path)
-    assert cfg.v_count == 3
-    assert cfg.master_seed == 7
-    assert cfg.omega_threshold == 1.8
-    assert cfg.t_max == 14.0
-
-
 def test_single_cell():
     cfg = _config(v_min=2.0, v_max=2.0, v_count=1,
                   delta_min=2.0, delta_max=2.0, delta_count=1)
