@@ -14,8 +14,10 @@ photon flux into the unmonitored external modes is R(t) = gamma |b(t)|^2.
 
 Closed forms come from the Laplace-transform solution with splitting
 parameter d = sqrt(-16 V^2 + (gamma + 2i delta)^2); the sign of b(t) is
-fixed so that db/dt(0) = -i V c(0) holds.  Near d = 0 the sinh(x)/x
-factors are replaced by their series limit.
+fixed so that db/dt(0) = -i V c(0) holds.  The kernel factors out the
+slower decaying exponential e^{(d-g)t/4}, so it stays finite at any
+horizon; near d = 0 the sinh(x)/x factors are replaced by their series
+limit.
 """
 
 from __future__ import annotations
@@ -99,7 +101,14 @@ def amplitudes_analytic(params: ModelParams, t):
     """Closed-form amplitudes (c(t), b(t)) at time(s) t >= 0.
 
     Accepts a scalar or an array of times; returns complex values of
-    matching shape.  Uses the series limit where |d| t / 4 < 1e-6.
+    matching shape.  The cosh and sinh of x = dt/4 under the envelope
+    e^{-gt/4} are E (1 + u)/2 and E (1 - u)/2, with E = e^{(d-g)t/4} and
+    u = e^{-dt/2}, so
+
+        c = c0 E (1 + (1 - g/d)(u - 1)/2)
+        b = 2i V c0 e^{i delta t} E (u - 1)/d
+
+    Uses the series limit where |d| t / 4 < 1e-6.
     """
     c0 = complex(params.c0_init)
     g = params.gamma + 2j * params.delta
@@ -108,19 +117,21 @@ def amplitudes_analytic(params: ModelParams, t):
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt)
 
-    ec = np.exp(-tt * g / 4.0)
-    eb = np.exp(-tt * np.conj(g) / 4.0)
+    # Re d lies in [0, gamma], so |E|, |u| <= 1 and nothing overflows at
+    # any horizon; expm1 keeps the digits of u - 1 as d -> 0
+    env = np.exp((d - g) * tt / 4.0)
+    um1 = np.expm1(-d * tt / 2.0)
+    phase = np.exp(1j * params.delta * tt)
 
     d_safe = d if d != 0 else 1.0
-    x = d_safe * tt / 4.0
-    sinh_x = np.sinh(x)
-    c = ec * c0 * (np.cosh(x) + (g / d_safe) * sinh_x)
-    b = -4j * params.v * c0 * eb * sinh_x / d_safe
+    c = c0 * env * (1.0 + (1.0 - g / d_safe) * um1 / 2.0)
+    b = 2j * params.v * c0 * phase * env * um1 / d_safe
 
     small = np.abs(d) * tt / 4.0 < SERIES_SWITCH
     if small.any():     # the series limit, only where it applies
-        c[small] = ec[small] * c0 * (1.0 + g * tt[small] / 4.0)
-        b[small] = -1j * params.v * c0 * tt[small] * eb[small]
+        ec = np.exp(-g * tt[small] / 4.0)
+        c[small] = ec * c0 * (1.0 + g * tt[small] / 4.0)
+        b[small] = -1j * params.v * c0 * tt[small] * ec * phase[small]
     if scalar:
         return complex(c[0]), complex(b[0])
     return c, b

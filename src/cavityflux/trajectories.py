@@ -10,16 +10,20 @@ unnormalised state,
 with c, b the deterministic closed-form amplitudes, so the jump time is
 sampled exactly by inverse transform: draw u uniform in (0, 1], fire at
 the unique t* with N^2(t*) = u, no jump if N^2(T) > u.  This removes
-the time-step bias of per-step Bernoulli sampling.
+the time-step bias of per-step Bernoulli sampling.  t* is found by
+safeguarded Newton steps inside its bracket on the survival grid; the
+derivative dN^2/dt = -gamma |b|^2 comes from the same kernel pass as
+N^2, and two or three passes reach JUMP_TOL.
 
 Per-trajectory generators are Philox streams keyed by (master_seed,
 trajectory index), so records are reproducible regardless of execution
 order or worker count.  The streams are numpy's
 ``Philox(SeedSequence(master_seed, spawn_key=(index,)))``, unchanged, but
-every trajectory's first draw is computed together: the SeedSequence hash
-and the Philox4x64-10 block are evaluated as uint32/uint64 array
-arithmetic over all indices at once, bit for bit equal to numpy's own
-per-trajectory draw.
+the first draws of a block of JUMP_BLOCK trajectories are computed
+together: the SeedSequence hash and the Philox4x64-10 block are evaluated
+as uint32/uint64 array arithmetic over the block's indices, bit for bit
+equal to numpy's own per-trajectory draw.  Draws and inversion run one
+block at a time, so working memory stays flat in the ensemble size.
 """
 
 from __future__ import annotations
@@ -35,7 +39,12 @@ from .dynamics import (DEFAULT_DT, FluxSeries, ModelParams,
                        amplitudes_analytic, flux_at, time_grid)
 from .files import write_csv, write_json
 
-JUMP_TOL = 1e-10   # time tolerance of the jump-time bisection
+# jump-time tolerance: a draw's Newton iteration stops once its step or
+# its bracket is below it; MAX_JUMP_STEPS bounds the passes
+JUMP_TOL = 1e-10
+MAX_JUMP_STEPS = 100
+# trajectories drawn and inverted together by sample_jump_times
+JUMP_BLOCK = 2 ** 14
 DEFAULT_BIN_WIDTH = 0.1
 
 
@@ -155,14 +164,17 @@ def _philox4x64(counter, key):
     return c0, c1, c2, c3
 
 
-def trajectory_uniforms(master_seed: int, n_traj: int) -> np.ndarray:
-    """Each trajectory's draw u in (0, 1], for indices 0 .. n_traj - 1.
+def trajectory_uniforms(master_seed: int, n_traj: int,
+                        start: int = 0) -> np.ndarray:
+    """Each trajectory's draw u in (0, 1], for indices start ..
+    start + n_traj - 1.
 
     u[i] equals ``1 - Generator(Philox(trajectory_seed(master_seed, i)))
     .random()``: a fresh Philox steps its counter to (1, 0, 0, 0) and
     ``random()`` maps output word 0 to (x >> 11) * 2**-53.
     """
-    key = philox_keys(master_seed, np.arange(n_traj, dtype=np.uint32))
+    indices = np.arange(start, start + n_traj, dtype=np.uint32)
+    key = philox_keys(master_seed, indices)
     x = _philox4x64((1, 0, 0, 0), key)[0]
     return 1.0 - (x >> 11) * 2.0 ** -53
 
@@ -214,9 +226,18 @@ class JumpRecord:
 def _invert_survival(params, times, n2, us):
     """Jump times for uniform draws us, NaN where no jump occurs.
 
-    Bracket on the precomputed monotone survival grid, then bisection
-    against the analytic N^2 to JUMP_TOL.  Ties at grid points break
-    toward earlier time (the >= comparison keeps the left branch).
+    Each firing draw u is bracketed on the precomputed monotone survival
+    grid and starts at the linear interpolation of n2 inside its
+    bracket.  Then Newton steps on f = N^2 - u, safeguarded by the
+    bracket as in ``rtsafe`` of Numerical Recipes (3rd ed., sec. 9.4): one
+    kernel pass over the still-active draws gives f and its derivative
+    f' = -gamma |b|^2.  The bracket first takes the step's time as its
+    left end where f >= 0, else as its right end, so ties break toward
+    earlier time.  A Newton step t - f/f' that is not finite or leaves
+    the bracket is replaced by the bracket midpoint.  A draw stops once
+    its step or its bracket is below JUMP_TOL; two or three steps
+    suffice away from flux zeros.
+    sample_jump_times calls this once per block of JUMP_BLOCK draws.
     """
     jump_times = np.full(us.shape, np.nan)
     if params.v == 0 or abs(complex(params.c0_init)) == 0:
@@ -233,29 +254,52 @@ def _invert_survival(params, times, n2, us):
     idx = np.clip(idx, 1, times.size - 1)
     lo = times[idx - 1]
     hi = times[idx]
-    dt = float(times[1] - times[0])
-    n_iter = max(1, int(np.ceil(np.log2(dt / JUMP_TOL))))
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        ge = survival_at(params, mid) >= u
-        lo = np.where(ge, mid, lo)
-        hi = np.where(ge, hi, mid)
-    jump_times[firing] = 0.5 * (lo + hi)
+    drop = n2[idx - 1] - n2[idx]
+    frac = (n2[idx - 1] - u) / np.where(drop > 0.0, drop, 1.0)
+    t = lo + (hi - lo) * np.where(drop > 0.0, np.clip(frac, 0.0, 1.0), 0.5)
+    ground2 = params.c0_ground ** 2
+    active = np.arange(u.size)
+    for _ in range(MAX_JUMP_STEPS):
+        ta = t[active]
+        c, b = amplitudes_analytic(params, ta)
+        mode2 = np.abs(b) ** 2
+        f = np.abs(c) ** 2 + mode2 + ground2 - u[active]
+        left = f >= 0.0
+        lo_a = np.where(left, ta, lo[active])
+        hi_a = np.where(left, hi[active], ta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = ta + f / (params.gamma * mode2)
+        inside = (lo_a <= newton) & (newton <= hi_a)
+        t_new = np.where(inside, newton, 0.5 * (lo_a + hi_a))
+        step = np.abs(t_new - ta)
+        t[active], lo[active], hi[active] = t_new, lo_a, hi_a
+        active = active[(step >= JUMP_TOL) & (hi_a - lo_a >= JUMP_TOL)]
+        if not active.size:
+            break
+    jump_times[firing] = t
     return jump_times
 
 
 def sample_jump_times(params: ModelParams, n_traj: int, master_seed: int,
                       dt: float = DEFAULT_DT) -> JumpRecord:
-    """Emission-time record for n_traj independent trajectories."""
+    """Emission-time record for n_traj independent trajectories.
+
+    Trajectories are drawn and inverted JUMP_BLOCK indices at a time,
+    so the working memory does not grow with n_traj; each draw depends
+    on its index alone, so the record does not depend on the blocking.
+    """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     if n_traj > MAX_TRAJECTORIES:
         raise ValueError(
             f"n_traj must be <= {MAX_TRAJECTORIES}, got {n_traj}")
-    us = trajectory_uniforms(master_seed, n_traj)
     times = time_grid(params.t_max, dt)
     n2 = np.minimum.accumulate(survival_at(params, times))
-    jump_times = _invert_survival(params, times, n2, us)
+    jump_times = np.empty(n_traj)
+    for start in range(0, n_traj, JUMP_BLOCK):
+        stop = min(start + JUMP_BLOCK, n_traj)
+        us = trajectory_uniforms(master_seed, stop - start, start)
+        jump_times[start:stop] = _invert_survival(params, times, n2, us)
     return JumpRecord(jump_times=jump_times, params=params,
                       master_seed=int(master_seed), n_traj=int(n_traj))
 

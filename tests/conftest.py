@@ -1,9 +1,12 @@
-"""Shared fixtures: acceptance-criterion reporting and the RK4 reference."""
+"""Shared fixtures: acceptance-criterion reporting, the RK4 reference
+and the reference jump-time bisection."""
 
 import cmath
 
 import numpy as np
 import pytest
+
+from cavityflux.trajectories import survival_at
 
 ACCEPTANCE_LINES = []
 
@@ -59,6 +62,35 @@ def rk4_reference():
     """The independent RK4 integrator, as rk4_reference(v, delta, gamma,
     t_max, dt) -> (c, b)."""
     return _rk4_reference
+
+
+def _bisection_reference(params, times, n2, us, tol):
+    """Test-local jump times by plain bisection of N^2(t) = u.
+
+    Brackets each firing draw on the grid survival n2, then halves the
+    bracket against the analytic survival until it is below tol, keeping
+    the left half where N^2(mid) >= u.  NaN where no jump occurs.
+    """
+    jump_times = np.full(us.shape, np.nan)
+    firing = us >= n2[-1]
+    if params.v == 0 or n2[-1] >= 1.0 or not firing.any():
+        return jump_times
+    u = us[firing]
+    idx = np.clip(np.searchsorted(-n2, -u, side="right"), 1, times.size - 1)
+    lo, hi = times[idx - 1], times[idx]
+    while np.max(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        ge = survival_at(params, mid) >= u
+        lo, hi = np.where(ge, mid, lo), np.where(ge, hi, mid)
+    jump_times[firing] = 0.5 * (lo + hi)
+    return jump_times
+
+
+@pytest.fixture(scope="session")
+def bisection_reference():
+    """Jump times by plain bisection, as bisection_reference(params,
+    times, n2, us, tol)."""
+    return _bisection_reference
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,5 +1,7 @@
 """Unit tests for ``cavityflux.dynamics``."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -92,22 +94,65 @@ def test_lossless_rabi_oscillation():
 
 
 def _both_branches(params, t):
-    # reference kernel: full and series forms over the whole grid, each
-    # with its own sinh, merged by np.where
+    # reference kernel: full and series forms over the whole grid, merged
+    # by np.where
     c0 = complex(params.c0_init)
     g = params.gamma + 2j * params.delta
     d = splitting(params)
     tt = np.atleast_1d(np.asarray(t, dtype=float))
-    ec = np.exp(-tt * g / 4.0)
-    eb = np.exp(-tt * np.conj(g) / 4.0)
+    env = np.exp((d - g) * tt / 4.0)
+    um1 = np.expm1(-d * tt / 2.0)
+    phase = np.exp(1j * params.delta * tt)
     d_safe = d if d != 0 else 1.0
-    x = d_safe * tt / 4.0
-    c_full = ec * c0 * (np.cosh(x) + (g / d_safe) * np.sinh(x))
-    b_full = -4j * params.v * c0 * eb * np.sinh(x) / d_safe
+    c_full = c0 * env * (1.0 + (1.0 - g / d_safe) * um1 / 2.0)
+    b_full = 2j * params.v * c0 * phase * env * um1 / d_safe
+    ec = np.exp(-g * tt / 4.0)
     c_series = ec * c0 * (1.0 + g * tt / 4.0)
-    b_series = -1j * params.v * c0 * tt * eb
+    b_series = -1j * params.v * c0 * tt * ec * phase
     small = np.abs(d) * tt / 4.0 < SERIES_SWITCH
     return np.where(small, c_series, c_full), np.where(small, b_series, b_full)
+
+
+def _cosh_sinh_form(params, t):
+    # the closed forms as cosh and sinh of x = d t / 4 under the decaying
+    # envelopes e^{-g t/4} and e^{-conj(g) t/4}: overflows at long t
+    c0 = complex(params.c0_init)
+    g = params.gamma + 2j * params.delta
+    d = splitting(params)
+    x = d * t / 4.0
+    c = np.exp(-t * g / 4.0) * c0 * (np.cosh(x) + (g / d) * np.sinh(x))
+    b = -4j * params.v * c0 * np.exp(-t * np.conj(g) / 4.0) * np.sinh(x) / d
+    return c, b
+
+
+def test_kernel_matches_cosh_sinh_form():
+    # 135 random points, and points near the d = 0 line V = gamma/4
+    rng = np.random.default_rng(135)
+    points = [(rng.uniform(0.0, 3.0), rng.uniform(-3.0, 3.0))
+              for _ in range(135)]
+    points += [(0.25 + eps, 0.0) for eps in (1e-9, -1e-9, 1e-6, -1e-3)]
+    for v, delta in points:
+        params = ModelParams(v=v, delta=delta)
+        # both use the series limit below SERIES_SWITCH
+        t = time_grid(14.0, 1e-3)
+        t = t[np.abs(splitting(params)) * t / 4.0 >= SERIES_SWITCH]
+        c, b = amplitudes_analytic(params, t)
+        c_ref, b_ref = _cosh_sinh_form(params, t)
+        assert_allclose(c, c_ref, rtol=0.0, atol=1e-14)
+        assert_allclose(b, b_ref, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(v=0.1, delta=0.0, t_max=4000.0),
+    ModelParams(v=2.5, delta=15.0, gamma=10.0, t_max=300.0),
+])
+def test_kernel_finite_at_long_horizons(params):
+    # cosh and sinh of d t / 4 overflowed here, and inf * 0 gave NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        c, b = amplitudes_analytic(params, time_grid(params.t_max, 1e-2))
+    assert np.isfinite(c).all() and np.isfinite(b).all()
+    assert abs(c[-1]) < 1e-15
 
 
 @pytest.mark.parametrize("params, times", [

@@ -1,6 +1,7 @@
 """Unit tests for ``cavityflux.trajectories``."""
 
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,8 +10,13 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import cavityflux
-from cavityflux.dynamics import DEFAULT_DT, ModelParams, time_grid
+from cavityflux import trajectories
+from cavityflux.dynamics import (DEFAULT_DT, ModelParams,
+                                 photon_flux_analytic, time_grid)
+from cavityflux.nonmarkov import nm_measure
 from cavityflux.trajectories import (
+    JUMP_BLOCK,
+    JUMP_TOL,
     MAX_TRAJECTORIES,
     GridMismatch,
     InvalidBinning,
@@ -145,6 +151,79 @@ def test_jump_at_survival_tie():
     jt = _invert_survival(STRONG, times, n2, np.array([n2[-1]]))
     assert not np.isnan(jt[0])
     assert jt[0] == pytest.approx(14.0, abs=1e-5)
+
+
+# (2, 2) has flux zeros, where f' = -gamma |b|^2 vanishes
+@pytest.mark.parametrize("v, delta", [(1.0, 0.0), (2.0, 2.0), (5.0, 0.0),
+                                      (0.25, 0.0)])
+def test_newton_matches_bisection(v, delta, bisection_reference):
+    params = ModelParams(v=v, delta=delta)
+    times = time_grid(params.t_max, DEFAULT_DT)
+    n2 = np.minimum.accumulate(survival_at(params, times))
+    us = trajectory_uniforms(11, 20000)
+    jt = _invert_survival(params, times, n2, us)
+    ref = bisection_reference(params, times, n2, us, JUMP_TOL)
+    assert_array_equal(np.isnan(jt), np.isnan(ref))
+    fired = ~np.isnan(jt)
+    assert fired.sum() > 15000
+    assert np.max(np.abs(jt[fired] - ref[fired])) <= JUMP_TOL
+    assert np.max(np.abs(survival_at(params, jt[fired]) - us[fired])) < 1e-14
+
+
+def test_newton_passes_per_block(monkeypatch):
+    # criterion 8's point: at most 4 kernel passes per block, beyond the
+    # one pass on the survival grid
+    kernel = trajectories.amplitudes_analytic
+    calls = []
+
+    def counting(p, t):
+        calls.append(np.size(t))
+        return kernel(p, t)
+
+    monkeypatch.setattr(trajectories, "amplitudes_analytic", counting)
+    n = 100_000
+    sample_jump_times(STRONG, n, master_seed=42)
+    n_blocks = -(-n // JUMP_BLOCK)
+    assert calls[0] == time_grid(STRONG.t_max, DEFAULT_DT).size
+    assert max(calls[1:]) <= JUMP_BLOCK
+    assert len(calls) - 1 <= 4 * n_blocks
+
+
+def test_blocks_do_not_change_the_record():
+    long = sample_jump_times(STRONG, 3 * JUMP_BLOCK, master_seed=5)
+    short = sample_jump_times(STRONG, JUMP_BLOCK + 5, master_seed=5)
+    assert_array_equal(long.jump_times[:JUMP_BLOCK + 5], short.jump_times)
+    # a block's draws are those of its own index range
+    assert_array_equal(trajectory_uniforms(5, 7, JUMP_BLOCK - 2),
+                       trajectory_uniforms(5, JUMP_BLOCK + 5)[-7:])
+
+
+def test_sample_memory_is_flat():
+    # the parent's unblocked inversion peaked near 43 MB here
+    tracemalloc.start()
+    try:
+        sample_jump_times(STRONG, 2 ** 18, master_seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_long_horizons_do_not_overflow():
+    # the survival grid overflowed to NaN here, us >= NaN is False, and
+    # no draw fired
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for params in (ModelParams(v=0.1, delta=0.0, t_max=4000.0),
+                       ModelParams(v=2.5, delta=15.0, gamma=10.0,
+                                   t_max=300.0)):
+            record = sample_jump_times(params, 2000, master_seed=1)
+            assert record.n_jumps == 2000
+            assert np.all(record.jump_times <= params.t_max)
+        for v, delta in ((2.5, 15.0), (2.5, -15.0), (0.5, 0.0)):
+            params = ModelParams(v=v, delta=delta, gamma=10.0, t_max=300.0)
+            assert np.isfinite(photon_flux_analytic(params).values).all()
+            assert np.isfinite(nm_measure(params).n_value)
 
 
 def test_jump_times_inside_horizon():
