@@ -4,9 +4,8 @@ spectral detection of non-Markovian dynamics."""
 __version__ = "0.1.0"
 
 from .dynamics import (AmplitudeSeries, FluxSeries, ModelParams,
-                       amplitude_derivatives, amplitude_series,
-                       amplitudes_analytic, flux_at, photon_flux_analytic,
-                       splitting, time_grid)
+                       amplitude_series, amplitudes_analytic, flux_at,
+                       photon_flux_analytic, splitting, time_grid)
 from .nonmarkov import (BoundaryCurve, NMResult, SignMap,
                         UnsupportedInitialState, markovian_boundary,
                         mode_gain_values, nm_measure, sigma_positive,
@@ -29,7 +28,7 @@ __all__ = [
     "NMResult", "NoSignal", "PeakEstimate", "RegionMap", "RegionVerdict",
     "ResidualStats", "SignMap", "SpectrumResult", "SweepConfig",
     "ThresholdFrequency", "UnknownFigure", "UnsupportedInitialState",
-    "amplitude_derivatives", "amplitude_series", "amplitudes_analytic",
+    "amplitude_series", "amplitudes_analytic",
     "analytic_flux_at_bins", "classify", "coherent_frequency", "detrend",
     "dft", "dominant_peak", "estimate_flux", "figure_datasets", "flux_at",
     "flux_residual_stats", "markovian_boundary", "mode_gain_values",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -56,6 +57,7 @@ def parse_args(parser, argv=None) -> argparse.Namespace:
 
     Config values become the subcommand's defaults as strings, so the
     second parse types them as it types flags; other keys are ignored.
+    A non-finite float flag is a usage error.
     """
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
@@ -68,6 +70,10 @@ def parse_args(parser, argv=None) -> argparse.Namespace:
     for key in ("v", "delta"):
         if hasattr(args, key) and getattr(args, key) is None:
             raise CliError(f"missing required --{key}")
+    for key, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CliError(f"--{key.replace('_', '-')} must be finite, "
+                           f"got {value}")
     if hasattr(args, "gamma"):
         for key in ("gamma", "dt"):
             value = getattr(args, key)

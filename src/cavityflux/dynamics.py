@@ -16,22 +16,20 @@ Closed forms come from the Laplace-transform solution with splitting
 parameter d = sqrt(-16 V^2 + (gamma + 2i delta)^2); the sign of b(t) is
 fixed so that db/dt(0) = -i V c(0) holds.  The kernel factors out the
 slower decaying exponential e^{(d-g)t/4}, so it stays finite at any
-horizon; near d = 0 the sinh(x)/x factors are replaced by their series
-limit.
+horizon, and takes u - 1 = e^{-dt/2} - 1 from expm1, so it keeps its
+digits as d t -> 0.  One closed form serves every d != 0; only d = 0
+itself (V = gamma/4 on resonance) takes the limit of that form.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .files import write_csv
-
-# below |d| t / 4 = SERIES_SWITCH the closed forms switch to the d -> 0
-# series limit; relative error of the switch is O(SERIES_SWITCH^2)
-SERIES_SWITCH = 1e-6
 
 DEFAULT_T_MAX = 14.0
 DEFAULT_DT = 1e-3
@@ -64,14 +62,20 @@ class ModelParams:
     def __post_init__(self):
         # gamma = 0 is allowed for lossless closed-form checks; the CLI
         # requires gamma > 0 since it rescales into units of gamma
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.v < 0:
-            raise ValueError(f"v must be >= 0, got {self.v}")
-        if not self.t_max > 0:
-            raise ValueError(f"t_max must be > 0, got {self.t_max}")
-        if abs(complex(self.c0_init)) > 1.0 + 1e-12:
-            raise ValueError(f"|c0_init| must be <= 1, got {self.c0_init}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(
+                f"gamma must be finite and >= 0, got {self.gamma}")
+        if not (math.isfinite(self.v) and self.v >= 0):
+            raise ValueError(f"v must be finite and >= 0, got {self.v}")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(
+                f"t_max must be finite and > 0, got {self.t_max}")
+        c0 = complex(self.c0_init)
+        if not (cmath.isfinite(c0) and abs(c0) <= 1.0 + 1e-12):
+            raise ValueError(f"c0_init must be finite with |c0_init| <= 1, "
+                             f"got {self.c0_init}")
 
     @property
     def c0_ground(self) -> float:
@@ -103,12 +107,13 @@ def amplitudes_analytic(params: ModelParams, t):
     Accepts a scalar or an array of times; returns complex values of
     matching shape.  The cosh and sinh of x = dt/4 under the envelope
     e^{-gt/4} are E (1 + u)/2 and E (1 - u)/2, with E = e^{(d-g)t/4} and
-    u = e^{-dt/2}, so
+    u = e^{-dt/2}, so for d != 0
 
         c = c0 E (1 + (1 - g/d)(u - 1)/2)
         b = 2i V c0 e^{i delta t} E (u - 1)/d
 
-    Uses the series limit where |d| t / 4 < 1e-6.
+    and at d = 0 their limit, c = c0 e^{-gt/4} (1 + gt/4) and
+    b = -i V c0 t e^{-gt/4} e^{i delta t}.
     """
     c0 = complex(params.c0_init)
     g = params.gamma + 2j * params.delta
@@ -116,39 +121,22 @@ def amplitudes_analytic(params: ModelParams, t):
     tt = np.asarray(t, dtype=float)
     scalar = tt.ndim == 0
     tt = np.atleast_1d(tt)
-
-    # Re d lies in [0, gamma], so |E|, |u| <= 1 and nothing overflows at
-    # any horizon; expm1 keeps the digits of u - 1 as d -> 0
-    env = np.exp((d - g) * tt / 4.0)
-    um1 = np.expm1(-d * tt / 2.0)
     phase = np.exp(1j * params.delta * tt)
 
-    d_safe = d if d != 0 else 1.0
-    c = c0 * env * (1.0 + (1.0 - g / d_safe) * um1 / 2.0)
-    b = 2j * params.v * c0 * phase * env * um1 / d_safe
-
-    small = np.abs(d) * tt / 4.0 < SERIES_SWITCH
-    if small.any():     # the series limit, only where it applies
-        ec = np.exp(-g * tt[small] / 4.0)
-        c[small] = ec * c0 * (1.0 + g * tt[small] / 4.0)
-        b[small] = -1j * params.v * c0 * tt[small] * ec * phase[small]
+    if d == 0:
+        ec = np.exp(-g * tt / 4.0)
+        c = ec * c0 * (1.0 + g * tt / 4.0)
+        b = -1j * params.v * c0 * tt * ec * phase
+    else:
+        # Re d lies in [0, gamma], so |E|, |u| <= 1 and nothing overflows
+        # at any horizon
+        env = np.exp((d - g) * tt / 4.0)
+        um1 = np.expm1(-d * tt / 2.0)
+        c = c0 * env * (1.0 + (1.0 - g / d) * um1 / 2.0)
+        b = 2j * params.v * c0 * phase * env * um1 / d
     if scalar:
         return complex(c[0]), complex(b[0])
     return c, b
-
-
-def amplitude_derivatives(params: ModelParams, t, c=None, b=None):
-    """Time derivatives (dc/dt, db/dt) from the equations of motion.
-
-    Exact given the closed-form amplitudes, so no finite differences are
-    involved.  Pass precomputed (c, b) to avoid re-evaluation.
-    """
-    if c is None or b is None:
-        c, b = amplitudes_analytic(params, t)
-    phase = np.exp(-1j * params.delta * np.asarray(t, dtype=float))
-    dc = -1j * params.v * phase * b
-    db = -0.5 * params.gamma * b - 1j * params.v * np.conj(phase) * c
-    return dc, db
 
 
 @dataclass(frozen=True)

@@ -23,15 +23,15 @@ revival there; only probes without one scan the rest of the grid.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, SERIES_SWITCH, ModelParams,
-                       amplitude_derivatives, amplitudes_analytic, splitting,
-                       time_grid)
+from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
+                       amplitudes_analytic, splitting, time_grid)
 from .files import write_csv
 
 ENDPOINT_TOL = 1e-8   # time tolerance of revival endpoint bisection
@@ -47,15 +47,21 @@ BOUNDARY_TOL_V = 1e-3
 # grid; revivals above threshold show up early, so most probes stop here
 SCAN_HEAD = 2048
 
+# below |d| t / 4 = SERIES_SWITCH, 1 - e^{-dt/2} keeps too few digits
+# for a sign, and sigma_positive takes the sign of the d t -> 0 limit
+SERIES_SWITCH = 1e-6
+
 
 class UnsupportedInitialState(ValueError):
     """The measure's optimal pair requires c(0) = 1."""
 
 
 def sigma_values(params: ModelParams, t):
-    """sigma(t) = d|c(t)|^2/dt = 2 Re(conj(c) dc/dt), analytic."""
+    """sigma(t) = d|c(t)|^2/dt = 2 Re(conj(c) dc/dt), analytic, with
+    dc/dt = -i V e^{-i delta t} b from the equation of motion."""
     c, b = amplitudes_analytic(params, t)
-    dc, _ = amplitude_derivatives(params, t, c=c, b=b)
+    phase = np.exp(-1j * params.delta * np.asarray(t, dtype=float))
+    dc = -1j * params.v * phase * b
     return 2.0 * np.real(np.conj(c) * dc)
 
 
@@ -70,8 +76,9 @@ def sigma_positive(params: ModelParams, t):
         sigma > 0  <=>  Re(conj((1+u) + (g/d)(1-u)) (1-u) / d) < 0.
 
     Re d >= 0 keeps |u| <= 1, so no horizon or decay rate overflows.
-    In the series branch (|d| t/4 < SERIES_SWITCH, and everywhere at
-    d = 0) sigma = -2 V^2 |c0|^2 t e^{-gamma t/2} (1 + gamma t/4) <= 0.
+    Where |d| t/4 < SERIES_SWITCH, 1 - u cancels, and there (and
+    everywhere at d = 0) sigma takes the sign of its d t -> 0 limit
+    -2 V^2 |c0|^2 t e^{-gamma t/2} (1 + gamma t/4) <= 0.
     """
     tt = np.asarray(t, dtype=float)
     d = splitting(params)
@@ -85,9 +92,11 @@ def sigma_positive(params: ModelParams, t):
 
 
 def mode_gain_values(params: ModelParams, t):
-    """B(t) = d(gamma |b(t)|^2)/dt, the flux time derivative."""
+    """B(t) = d(gamma |b(t)|^2)/dt, the flux time derivative, with
+    db/dt = -(gamma/2) b - i V e^{i delta t} c from the equation of motion."""
     c, b = amplitudes_analytic(params, t)
-    _, db = amplitude_derivatives(params, t, c=c, b=b)
+    phase = np.exp(-1j * params.delta * np.asarray(t, dtype=float))
+    db = -0.5 * params.gamma * b - 1j * params.v * np.conj(phase) * c
     return 2.0 * params.gamma * np.real(np.conj(b) * db)
 
 
@@ -184,13 +193,15 @@ def _boundary_column(args):
         kind = "all_nonmarkovian" if nm_lo else "all_markovian"
         return np.nan, kind
     lo, hi = v_lo, v_hi
-    while hi - lo > tol_v:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    # the second test ends a tol_v finer than the float spacing at V_c
+    while hi - lo > tol_v and lo < mid < hi:
         if _has_revival(mid, delta, gamma, t_max, dt):
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi), None
+        mid = 0.5 * (lo + hi)
+    return mid, None
 
 
 def resolve_workers(workers=None, default=None) -> int:
@@ -230,18 +241,25 @@ def markovian_boundary(delta_values, v_search=None,
     would overestimate V_c (by ~4% at delta=0).
 
     Detunings whose search window does not bracket the transition are
-    reported in unbracketed, not raised.
+    reported in unbracketed, not raised.  Non-finite or out-of-range
+    inputs raise ValueError.
     """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     v_lo, v_hi = (v_search if v_search is not None
                   else [v * gamma for v in BOUNDARY_V_SEARCH])
-    if not 0 <= v_lo < v_hi:
-        raise ValueError(f"invalid v_search {v_search}")
+    if not (math.isfinite(v_hi) and 0 <= v_lo < v_hi):
+        raise ValueError(f"v_search must be finite with 0 <= v_lo < v_hi, "
+                         f"got {v_search}")
     tol_v = BOUNDARY_TOL_V * gamma if tol_v is None else tol_v
     t_max = BOUNDARY_T_MAX / gamma if t_max is None else t_max
     dt = BOUNDARY_DT / gamma if dt is None else dt
+    for name, value in (("tol_v", tol_v), ("t_max", t_max), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     deltas = np.asarray(delta_values, dtype=float)
+    if not np.isfinite(deltas).all():
+        raise ValueError(f"deltas must be finite, got {deltas}")
     tasks = [(d, v_lo, v_hi, tol_v, gamma, t_max, dt) for d in deltas]
 
     results = parallel_map(_boundary_column, tasks,

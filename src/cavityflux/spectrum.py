@@ -20,6 +20,7 @@ non-Markovian dynamics.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,23 +185,16 @@ def threshold_frequency(boundary: BoundaryCurve,
 
     best = None
     for delta, vc in zip(boundary.deltas, boundary.v_c):
-        if np.isnan(vc):
-            kind = unbracketed.get(float(delta))
-            if kind != "all_markovian":
+        # an all-Markovian column includes its limit v_hi; V_c does not
+        markov_column = np.isnan(vc)
+        if markov_column and unbracketed.get(float(delta)) != "all_markovian":
+            continue
+        v_m = v_hi if markov_column else float(vc)
+        if grid is not None:
+            below = grid[grid <= v_m] if markov_column else grid[grid < v_m]
+            if below.size == 0:
                 continue
-            v_m = v_hi
-            if grid is not None:
-                below = grid[grid <= v_hi]
-                if below.size == 0:
-                    continue
-                v_m = float(below.max())
-        else:
-            v_m = float(vc)
-            if grid is not None:
-                below = grid[grid < vc]
-                if below.size == 0:
-                    continue
-                v_m = float(below.max())
+            v_m = float(below.max())
         cand = (coherent_frequency(v_m, float(delta)), v_m, float(delta))
         if best is None or cand > best:
             best = cand
@@ -257,6 +251,9 @@ def classify(params: ModelParams, omega_threshold: float,
     the measure is evaluated to refine undetected points into Markovian
     vs NonMarkovianUndetectable.
     """
+    if not (math.isfinite(omega_threshold) and omega_threshold >= 0):
+        raise ValueError(f"omega_threshold must be finite and >= 0, "
+                         f"got {omega_threshold}")
     if flux is None:
         # bound to a name, so the amplitudes live until the measure has
         # run: freed earlier, their pages go back to the system and the

@@ -9,6 +9,7 @@ and versions but no timestamps, keeping reruns byte-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -60,10 +61,20 @@ class SweepConfig:
     workers: int | None = None   # None = 1 worker; NM_WORKERS overrides
 
     def __post_init__(self):
-        for name in ("gamma", "t_max", "dt"):
-            if not getattr(self, name) > 0:
+        for name in ("v_min", "v_max", "delta_min", "delta_max",
+                     "bin_width", "min_prominence", "eps_n"):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(
-                    f"{name} must be > 0, got {getattr(self, name)}")
+                    f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("gamma", "t_max", "dt"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        threshold = self.omega_threshold
+        if threshold is not None and not (math.isfinite(threshold)
+                                          and threshold >= 0):
+            raise ValueError(f"omega_threshold must be finite and >= 0, "
+                             f"got {threshold}")
         if self.n_traj < 0:
             raise ValueError(f"n_traj must be >= 0, got {self.n_traj}")
         if self.v_count < 1 or self.delta_count < 1:
@@ -180,14 +191,14 @@ def run_sweep(config: SweepConfig, out_dir=None) -> RegionMap:
     deltas = config.delta_values()
     vs = config.v_values()
 
+    n_workers = resolve_workers(default=config.workers)
     omega_threshold = config.omega_threshold
     if omega_threshold is None:
         boundary = markovian_boundary(deltas,
                                       v_search=(config.v_min, config.v_max),
-                                      gamma=config.gamma)
+                                      gamma=config.gamma, workers=n_workers)
         omega_threshold = threshold_frequency(boundary, v_grid=vs).omega_m
 
-    n_workers = resolve_workers(default=config.workers)
     tasks = [(config, j, delta, omega_threshold)
              for j, delta in enumerate(deltas)]
     cells = parallel_map(_sweep_column, tasks, n_workers, chunksize=1)

@@ -314,7 +314,7 @@ def estimate_flux(params: ModelParams, n_traj: int,
     [0, T]; a trailing partial bin is dropped with a warning.  Pass a
     precomputed record to bin an existing ensemble.
     """
-    if bin_width <= 0 or bin_width > params.t_max:
+    if not 0 < bin_width <= params.t_max:
         raise InvalidBinning(
             f"bin_width must be in (0, t_max], got {bin_width}")
     if record is None:

@@ -1,11 +1,12 @@
-"""Shared fixtures: acceptance-criterion reporting, the RK4 reference
-and the reference jump-time bisection."""
+"""Shared fixtures: acceptance-criterion reporting, the RK4 reference,
+the amplitude derivatives and the reference jump-time bisection."""
 
 import cmath
 
 import numpy as np
 import pytest
 
+from cavityflux.dynamics import amplitudes_analytic
 from cavityflux.trajectories import survival_at
 
 ACCEPTANCE_LINES = []
@@ -62,6 +63,23 @@ def rk4_reference():
     """The independent RK4 integrator, as rk4_reference(v, delta, gamma,
     t_max, dt) -> (c, b)."""
     return _rk4_reference
+
+
+def _amplitude_derivatives(params, t):
+    """Test-local (dc/dt, db/dt) from the equations of motion, evaluated
+    on the closed-form amplitudes, so no finite differences enter."""
+    c, b = amplitudes_analytic(params, t)
+    phase = np.exp(-1j * params.delta * np.asarray(t, dtype=float))
+    dc = -1j * params.v * phase * b
+    db = -0.5 * params.gamma * b - 1j * params.v * np.conj(phase) * c
+    return dc, db
+
+
+@pytest.fixture(scope="session")
+def amplitude_derivatives():
+    """The amplitude time derivatives, as amplitude_derivatives(params, t)
+    -> (dc, db)."""
+    return _amplitude_derivatives
 
 
 def _bisection_reference(params, times, n2, us, tol):

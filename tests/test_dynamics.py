@@ -7,10 +7,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from cavityflux.dynamics import (
-    SERIES_SWITCH,
     AmplitudeSeries,
     ModelParams,
-    amplitude_derivatives,
     amplitude_series,
     amplitudes_analytic,
     flux_at,
@@ -94,23 +92,21 @@ def test_lossless_rabi_oscillation():
 
 
 def _both_branches(params, t):
-    # reference kernel: full and series forms over the whole grid, merged
-    # by np.where
+    # reference kernel: the d -> 0 limit at d = 0, the closed form with
+    # the envelope factored out everywhere else
     c0 = complex(params.c0_init)
     g = params.gamma + 2j * params.delta
     d = splitting(params)
     tt = np.atleast_1d(np.asarray(t, dtype=float))
+    phase = np.exp(1j * params.delta * tt)
+    if d == 0:
+        ec = np.exp(-g * tt / 4.0)
+        return (ec * c0 * (1.0 + g * tt / 4.0),
+                -1j * params.v * c0 * tt * ec * phase)
     env = np.exp((d - g) * tt / 4.0)
     um1 = np.expm1(-d * tt / 2.0)
-    phase = np.exp(1j * params.delta * tt)
-    d_safe = d if d != 0 else 1.0
-    c_full = c0 * env * (1.0 + (1.0 - g / d_safe) * um1 / 2.0)
-    b_full = 2j * params.v * c0 * phase * env * um1 / d_safe
-    ec = np.exp(-g * tt / 4.0)
-    c_series = ec * c0 * (1.0 + g * tt / 4.0)
-    b_series = -1j * params.v * c0 * tt * ec * phase
-    small = np.abs(d) * tt / 4.0 < SERIES_SWITCH
-    return np.where(small, c_series, c_full), np.where(small, b_series, b_full)
+    return (c0 * env * (1.0 + (1.0 - g / d) * um1 / 2.0),
+            2j * params.v * c0 * phase * env * um1 / d)
 
 
 def _cosh_sinh_form(params, t):
@@ -131,11 +127,9 @@ def test_kernel_matches_cosh_sinh_form():
     points = [(rng.uniform(0.0, 3.0), rng.uniform(-3.0, 3.0))
               for _ in range(135)]
     points += [(0.25 + eps, 0.0) for eps in (1e-9, -1e-9, 1e-6, -1e-3)]
+    t = time_grid(14.0, 1e-3)
     for v, delta in points:
         params = ModelParams(v=v, delta=delta)
-        # both use the series limit below SERIES_SWITCH
-        t = time_grid(14.0, 1e-3)
-        t = t[np.abs(splitting(params)) * t / 4.0 >= SERIES_SWITCH]
         c, b = amplitudes_analytic(params, t)
         c_ref, b_ref = _cosh_sinh_form(params, t)
         assert_allclose(c, c_ref, rtol=0.0, atol=1e-14)
@@ -156,11 +150,11 @@ def test_kernel_finite_at_long_horizons(params):
 
 
 @pytest.mark.parametrize("params, times", [
-    # d = 0 (V = gamma/4 at resonance): the series holds on every sample
+    # d = 0 (V = gamma/4 at resonance): the limit holds on every sample
     (ModelParams(v=0.25, delta=0.0), time_grid(14.0, 1e-3)),
     (ModelParams(v=2.5, delta=0.0, gamma=10.0, t_max=1.4),
      time_grid(1.4, 1e-4)),
-    # the first 41 samples fall in the series branch, then the full grid
+    # the first 41 samples have |d| t/4 < 1e-6, then the full grid
     (ModelParams(v=1.0, delta=0.5, t_max=14.0),
      np.concatenate([np.linspace(0.0, 9e-7, 41), time_grid(14.0, 1e-3)[1:]])),
     (ModelParams(v=1.0, delta=0.5, c0_init=0.6 + 0.3j, t_max=14.0),
@@ -171,8 +165,11 @@ def test_kernel_matches_both_branch_reference_bitwise(params, times):
     c_ref, b_ref = _both_branches(params, times)
     assert_array_equal(c.view(np.uint64), c_ref.view(np.uint64))
     assert_array_equal(b.view(np.uint64), b_ref.view(np.uint64))
-    small = np.abs(splitting(params)) * times / 4.0 < SERIES_SWITCH
-    assert small[:41].all()
+    if splitting(params) != 0:
+        # at |d| t/4 < 1e-6 the closed form alone keeps full accuracy
+        c_cs, b_cs = _cosh_sinh_form(params, times[:41])
+        assert_allclose(c[:41], c_cs, rtol=0.0, atol=1e-15)
+        assert_allclose(b[:41], b_cs, rtol=0.0, atol=1e-15)
     # a scalar time takes the same path as a one-sample grid
     for k in (0, 40, times.size - 1):
         assert amplitudes_analytic(params, times[k]) == (c[k], b[k])
@@ -189,14 +186,14 @@ def test_initial_state_and_flat_start():
     assert abs(abs(c1) ** 2 - 1.0) < 10.0 * dt ** 2
 
 
-def test_initial_derivatives():
+def test_initial_derivatives(amplitude_derivatives):
     params = ModelParams(v=1.3, delta=-0.8, c0_init=0.9)
     dc0, db0 = amplitude_derivatives(params, 0.0)
     assert abs(dc0) < 1e-15
     assert_allclose(db0, -1j * params.v * params.c0_init, rtol=0.0, atol=1e-15)
 
 
-def test_derivatives_match_finite_differences():
+def test_derivatives_match_finite_differences(amplitude_derivatives):
     params = ModelParams(v=1.3, delta=0.8)
     h = 1e-5
     for t in (0.3, 1.7, 5.0, 11.0):

@@ -7,12 +7,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from cavityflux import nonmarkov
-from cavityflux.dynamics import (SERIES_SWITCH, ModelParams,
-                                 amplitudes_analytic, flux_at, splitting,
-                                 time_grid)
+from cavityflux.dynamics import (ModelParams, amplitudes_analytic, flux_at,
+                                 splitting, time_grid)
 from cavityflux.nonmarkov import (
     BOUNDARY_DT,
     BOUNDARY_T_MAX,
+    SERIES_SWITCH,
     BoundaryCurve,
     UnsupportedInitialState,
     markovian_boundary,

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cavityflux.dynamics import ModelParams
-from cavityflux.nonmarkov import nm_measure
+from cavityflux.nonmarkov import markovian_boundary, nm_measure
 from cavityflux.spectrum import classify
 from cavityflux.sweep import (
     SweepConfig,
@@ -191,6 +191,24 @@ def test_default_is_one_worker_on_many_cores(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     region = run_sweep(_config(v_count=1, delta_count=1))
     assert region.n_workers == 1
+
+
+def test_threshold_boundary_runs_on_the_sweep_workers(monkeypatch):
+    # the boundary behind a computed threshold gets the resolved count;
+    # the recorder runs it on one worker and one column spawns no pool
+    monkeypatch.delenv("NM_WORKERS", raising=False)
+    seen = []
+
+    def boundary(*args, workers=None, **kwargs):
+        seen.append(workers)
+        return markovian_boundary(*args, workers=1, **kwargs)
+
+    monkeypatch.setattr("cavityflux.sweep.markovian_boundary", boundary)
+    region = run_sweep(SweepConfig(v_min=0.05, v_max=1.2, v_count=2,
+                                   delta_min=0.0, delta_max=0.0,
+                                   delta_count=1, workers=4))
+    assert seen == [4]
+    assert region.n_workers == 4
 
 
 def test_workers_env_override(monkeypatch):
