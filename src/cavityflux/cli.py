@@ -74,6 +74,9 @@ def parse_args(parser, argv=None) -> argparse.Namespace:
         if isinstance(value, float) and not math.isfinite(value):
             raise CliError(f"--{key.replace('_', '-')} must be finite, "
                            f"got {value}")
+        if key in ("delta_count", "boundary_points") and value < 1:
+            raise CliError(f"--{key.replace('_', '-')} must be >= 1, "
+                           f"got {value}")
     if hasattr(args, "gamma"):
         for key in ("gamma", "dt"):
             value = getattr(args, key)

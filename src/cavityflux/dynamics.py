@@ -85,6 +85,9 @@ class ModelParams:
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:
     """Uniform grid 0, dt, 2 dt, ... covering [0, t_max]."""
+    for name, value in (("t_max", t_max), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     n = int(round(t_max / dt))
     if n < 1:
         raise ValueError(f"dt={dt} too coarse for t_max={t_max}")

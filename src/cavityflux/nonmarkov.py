@@ -204,23 +204,23 @@ def _boundary_column(args):
     return mid, None
 
 
-def resolve_workers(workers=None, default=None) -> int:
-    """Explicit count wins, then the NM_WORKERS env var, then default, then 1.
+def resolve_workers(workers=None) -> int:
+    """Explicit count wins, then the NM_WORKERS env var, then 1.
 
     An empty NM_WORKERS counts as unset; counts clamp to at least one.
-    A sweep passes its config's count as default, so NM_WORKERS wins there.
     """
     if workers is None:
-        workers = os.environ.get("NM_WORKERS") or default or 1
+        workers = os.environ.get("NM_WORKERS") or 1
     return max(1, int(workers))
 
 
 def parallel_map(fn, tasks, n_workers: int, chunksize: int) -> list:
-    """[fn(t) for t in tasks], over a process pool when n_workers > 1.
+    """[fn(t) for t in tasks], over a process pool when n_workers > 1
+    and the tasks fill more than one chunk.
 
     Results keep the order of tasks whatever the worker count.
     """
-    if n_workers > 1 and len(tasks) > 1:
+    if n_workers > 1 and len(tasks) > chunksize:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             return list(pool.map(fn, tasks, chunksize=chunksize))
     return [fn(t) for t in tasks]
@@ -258,8 +258,8 @@ def markovian_boundary(delta_values, v_search=None,
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
     deltas = np.asarray(delta_values, dtype=float)
-    if not np.isfinite(deltas).all():
-        raise ValueError(f"deltas must be finite, got {deltas}")
+    if deltas.size == 0 or not np.isfinite(deltas).all():
+        raise ValueError(f"deltas must be non-empty and finite, got {deltas}")
     tasks = [(d, v_lo, v_hi, tol_v, gamma, t_max, dt) for d in deltas]
 
     results = parallel_map(_boundary_column, tasks,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,13 @@ FIGURE_IDS = (1, 2, 3, 4)
 FIG1_V = (0.2, 0.5, 1.0)
 FIG1_DELTA = (0.0, 1.0)
 FIG4_POINTS = ((2.0, 2.0), (0.0, 0.9), (1.0, 0.7), (1.7, 0.3))
+# dataset sizes: the time step of figures 1 and 4, figure 2's sign-map
+# rows and time step, figure 3's detuning and coupling grids
+FIG_DT = DEFAULT_DT
+FIG2_POINTS = 101
+FIG2_DT = 2e-2
+FIG3_DELTA_POINTS = 200
+FIG3_V_POINTS = 200
 
 
 class UnknownFigure(ValueError):
@@ -58,7 +66,7 @@ class SweepConfig:
     omega_threshold: float | None = None   # None = compute from boundary
     min_prominence: float = DEFAULT_MIN_PROMINENCE
     eps_n: float = EPS_N
-    workers: int | None = None   # None = 1 worker; NM_WORKERS overrides
+    workers: int | None = None   # None = NM_WORKERS, else 1
 
     def __post_init__(self):
         for name in ("v_min", "v_max", "delta_min", "delta_max",
@@ -83,6 +91,9 @@ class SweepConfig:
             raise ValueError("grid bounds must be monotone")
         if self.n_traj > 0 and self.master_seed is None:
             raise ValueError("master_seed required when n_traj > 0")
+        if self.master_seed is not None and self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, "
+                             f"got {self.master_seed}")
         if self.n_traj > 0 and not 0 < self.bin_width <= self.t_max:
             raise ValueError(f"bin_width must be in (0, t_max], "
                              f"got {self.bin_width}")
@@ -101,8 +112,11 @@ def _cell_seed(master_seed: int, cell_index: int) -> int:
     return int(key[0][0])
 
 
-def _sweep_cell(config: SweepConfig, delta: float, v: float,
-                omega_threshold: float, cell_index: int) -> dict:
+def _sweep_cell(task) -> dict:
+    config, cell_index, delta, v, omega_threshold = task
+    cell = {"delta": delta, "v": v, "n_value": float("nan"),
+            "omega": coherent_frequency(v, delta), "omega_peak": None,
+            "prominence": float("nan"), "verdict": None, "error": None}
     try:
         params = ModelParams(v=v, delta=delta, gamma=config.gamma,
                              t_max=config.t_max)
@@ -115,25 +129,11 @@ def _sweep_cell(config: SweepConfig, delta: float, v: float,
                            min_prominence=config.min_prominence, flux=flux,
                            ground_truth=True, dt=config.dt,
                            eps_n=config.eps_n)
-        return {"delta": delta, "v": v, "n_value": verdict.n_value,
-                "omega": coherent_frequency(v, delta),
-                "omega_peak": verdict.omega_peak,
-                "prominence": verdict.prominence,
-                "verdict": verdict.label, "error": None}
+        cell.update(n_value=verdict.n_value, omega_peak=verdict.omega_peak,
+                    prominence=verdict.prominence, verdict=verdict.label)
     except Exception as exc:    # isolate: one bad cell must not kill the sweep
-        return {"delta": delta, "v": v, "n_value": float("nan"),
-                "omega": coherent_frequency(v, delta),
-                "omega_peak": None, "prominence": float("nan"),
-                "verdict": f"Error({type(exc).__name__})",
-                "error": str(exc)}
-
-
-def _sweep_column(args):
-    config, j, delta, omega_threshold = args
-    vs = config.v_values()
-    return [_sweep_cell(config, float(delta), float(v), omega_threshold,
-                        j * vs.size + i)
-            for i, v in enumerate(vs)]
+        cell.update(verdict=f"Error({type(exc).__name__})", error=str(exc))
+    return cell
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ class RegionMap:
 
     deltas: np.ndarray
     vs: np.ndarray
-    cells: list                 # cells[j][i] over (delta_j, v_i)
+    cells: list                 # cells[j * vs.size + i] at (delta_j, v_i)
     omega_threshold: float
     config: SweepConfig
     n_workers: int
@@ -150,15 +150,14 @@ class RegionMap:
     @property
     def errors(self) -> list:
         return [(c["delta"], c["v"], c["error"])
-                for row in self.cells for c in row if c["error"]]
+                for c in self.cells if c["error"]]
 
     @property
     def all_ok(self) -> bool:
         return not self.errors
 
     def iter_cells(self):
-        for row in self.cells:
-            yield from row
+        return iter(self.cells)
 
     def manifest(self) -> dict:
         cfg = asdict(self.config)
@@ -175,9 +174,8 @@ class RegionMap:
         write_json(manifest_path, self.manifest())
         cells_path = out / "cells.csv"
         header = "delta,v,n_value,omega,omega_peak,prominence,verdict"
-        cells = list(self.iter_cells())
         write_csv(cells_path, header,
-                  *([c[key] for c in cells] for key in header.split(",")))
+                  *([c[key] for c in self.cells] for key in header.split(",")))
         return [manifest_path, cells_path]
 
 
@@ -191,7 +189,7 @@ def run_sweep(config: SweepConfig, out_dir=None) -> RegionMap:
     deltas = config.delta_values()
     vs = config.v_values()
 
-    n_workers = resolve_workers(default=config.workers)
+    n_workers = resolve_workers(config.workers)
     omega_threshold = config.omega_threshold
     if omega_threshold is None:
         boundary = markovian_boundary(deltas,
@@ -199,9 +197,10 @@ def run_sweep(config: SweepConfig, out_dir=None) -> RegionMap:
                                       gamma=config.gamma, workers=n_workers)
         omega_threshold = threshold_frequency(boundary, v_grid=vs).omega_m
 
-    tasks = [(config, j, delta, omega_threshold)
-             for j, delta in enumerate(deltas)]
-    cells = parallel_map(_sweep_column, tasks, n_workers, chunksize=1)
+    # delta-major, so a chunk of vs.size tasks is one delta column
+    tasks = [(config, k, delta, v, omega_threshold) for k, (delta, v)
+             in enumerate(product(deltas.tolist(), vs.tolist()))]
+    cells = parallel_map(_sweep_cell, tasks, n_workers, chunksize=vs.size)
 
     region_map = RegionMap(deltas=deltas, vs=vs, cells=cells,
                            omega_threshold=float(omega_threshold),
@@ -250,21 +249,15 @@ if plt.gca().lines:
 '''
 
 
-def _write_plot_stub(out: Path) -> Path:
-    path = out / "plot_figures.py"
-    path.write_text(_PLOT_STUB)
-    return path
-
-
-def figure_datasets(figure_id: int, out_dir, dt: float = DEFAULT_DT,
-                    boundary_points: int = 200, map_points: int = 200,
-                    sign_points: int = 101, sign_dt: float = 2e-2) -> list:
+def figure_datasets(figure_id: int, out_dir) -> list:
     """Emit the CSV datasets behind one of the four reference figures.
 
     1: population and flux curves for three couplings at two detunings.
     2: derivative sign maps over (t, delta) at V=1 and (t, V) at delta=1.
     3: Markovian boundary, Omega map, and the threshold frequency.
     4: flux spectra of the four classification showcase points.
+
+    Grid sizes and time steps are the module's FIG_* constants.
     """
     if figure_id not in FIGURE_IDS:
         raise UnknownFigure(f"figure id must be one of {FIGURE_IDS}, "
@@ -277,7 +270,7 @@ def figure_datasets(figure_id: int, out_dir, dt: float = DEFAULT_DT,
         for v in FIG1_V:
             for delta in FIG1_DELTA:
                 params = ModelParams(v=v, delta=delta)
-                series = amplitude_series(params, dt)
+                series = amplitude_series(params, FIG_DT)
                 pop_path = out / f"population_v{v:g}_d{delta:g}.csv"
                 write_csv(pop_path, "t,population", series.times,
                           series.population())
@@ -286,10 +279,10 @@ def figure_datasets(figure_id: int, out_dir, dt: float = DEFAULT_DT,
                 paths += [pop_path, flux_path]
 
     elif figure_id == 2:
-        top = sign_map("delta", 1.0, np.linspace(0.0, 2.0, sign_points),
-                       dt=sign_dt)
-        bottom = sign_map("v", 1.0, np.linspace(0.05, 1.2, sign_points),
-                          dt=sign_dt)
+        top = sign_map("delta", 1.0, np.linspace(0.0, 2.0, FIG2_POINTS),
+                       dt=FIG2_DT)
+        bottom = sign_map("v", 1.0, np.linspace(0.05, 1.2, FIG2_POINTS),
+                          dt=FIG2_DT)
         for smap, name in ((top, "sign_map_delta.csv"),
                            (bottom, "sign_map_v.csv")):
             path = out / name
@@ -297,8 +290,8 @@ def figure_datasets(figure_id: int, out_dir, dt: float = DEFAULT_DT,
             paths.append(path)
 
     elif figure_id == 3:
-        deltas = np.linspace(0.0, 2.0, boundary_points)
-        vs = np.linspace(0.05, 1.2, map_points)
+        deltas = np.linspace(0.0, 2.0, FIG3_DELTA_POINTS)
+        vs = np.linspace(0.05, 1.2, FIG3_V_POINTS)
         boundary = markovian_boundary(deltas)
         bpath = out / "boundary.csv"
         boundary.to_csv(bpath)
@@ -307,17 +300,15 @@ def figure_datasets(figure_id: int, out_dir, dt: float = DEFAULT_DT,
         mpath = out / "omega_map.csv"
         write_csv(mpath, "delta,v,omega", dd.ravel(), vv.ravel(),
                   omega.ravel())
-        thr = threshold_frequency(boundary, v_grid=vs)
         tpath = out / "threshold.json"
-        write_json(tpath, {"omega_m": thr.omega_m, "v_star": thr.v_star,
-                           "delta_star": thr.delta_star})
+        write_json(tpath, asdict(threshold_frequency(boundary, v_grid=vs)))
         paths += [bpath, mpath, tpath]
 
     elif figure_id == 4:
         peaks = {}
         for delta, v in FIG4_POINTS:
             params = ModelParams(v=v, delta=delta)
-            spec = dft(detrend(photon_flux_analytic(params, dt)), dt)
+            spec = dft(detrend(photon_flux_analytic(params, FIG_DT)), FIG_DT)
             path = out / f"spectrum_d{delta:g}_v{v:g}.csv"
             spec.to_csv(path)
             paths.append(path)
@@ -328,5 +319,6 @@ def figure_datasets(figure_id: int, out_dir, dt: float = DEFAULT_DT,
         write_json(ppath, peaks)
         paths.append(ppath)
 
-    paths.append(_write_plot_stub(out))
-    return paths
+    stub = out / "plot_figures.py"
+    stub.write_text(_PLOT_STUB)
+    return paths + [stub]

@@ -1,13 +1,20 @@
 """Shared fixtures: acceptance-criterion reporting, the RK4 reference,
-the amplitude derivatives and the reference jump-time bisection."""
+the amplitude derivatives and the reference jump-time bisection; and the
+one hypothesis profile of the property tests."""
 
 import cmath
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cavityflux.dynamics import amplitudes_analytic
 from cavityflux.trajectories import survival_at
+
+# property tests draw the same examples on every run and keep no state
+settings.register_profile("cavityflux", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("cavityflux")
 
 ACCEPTANCE_LINES = []
 

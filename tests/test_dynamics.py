@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from cavityflux.dynamics import (
@@ -214,6 +216,33 @@ def test_analytic_matches_ode(v, delta, rk4_reference):
     assert c_ref.shape == analytic.times.shape
     assert np.max(np.abs(analytic.c_values - c_ref)) < 1e-8
     assert np.max(np.abs(analytic.b_values - b_ref)) < 1e-8
+
+
+# (V, delta) in units of gamma: the whole drawn range, and a strip
+# around d = 0 (V = gamma/4 on resonance) that holds d = 0 itself
+UNIT_POINTS = st.one_of(
+    st.tuples(st.floats(0.0, 5.0), st.floats(-5.0, 5.0)),
+    st.tuples(st.floats(-1e-6, 1e-6).map(lambda eps: 0.25 + eps),
+              st.floats(-1e-6, 1e-6)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40)
+@given(point=UNIT_POINTS, gamma=st.floats(0.1, 10.0))
+def test_kernel_matches_ode_everywhere(point, gamma, rk4_reference):
+    # over 4/gamma, with an RK4 step of 1/50 of the fastest rate
+    v, delta = point[0] * gamma, point[1] * gamma
+    t_max = 4.0 / gamma
+    steps = int(np.ceil(50.0 * t_max * (gamma + 2.0 * v + abs(delta))))
+    dt = t_max / steps
+    c_ref, b_ref = rk4_reference(v, delta, gamma, t_max, dt)
+    params = ModelParams(v=v, delta=delta, gamma=gamma, t_max=t_max)
+    c, b = amplitudes_analytic(params, np.arange(steps + 1) * dt)
+    assert np.max(np.abs(c - c_ref)) < 1e-8
+    assert np.max(np.abs(b - b_ref)) < 1e-8
+    # and finite out to the boundary's 300/gamma horizon
+    far = amplitudes_analytic(params, np.linspace(0.0, 300.0 / gamma, 301))
+    assert np.isfinite(far).all()
 
 
 def test_detuning_parity():

@@ -1,6 +1,6 @@
 """The input contract: every entry point rejects a non-finite or
-out-of-range float with a ValueError naming the field, and the CLI exits
-2 on it without writing output."""
+out-of-range float, an empty grid or a negative seed with a ValueError
+naming the field, and the CLI exits 2 on it without writing output."""
 
 import json
 import subprocess
@@ -8,16 +8,17 @@ import sys
 
 import pytest
 
-from cavityflux.dynamics import ModelParams
-from cavityflux.nonmarkov import markovian_boundary
+from cavityflux.dynamics import ModelParams, time_grid
+from cavityflux.nonmarkov import markovian_boundary, nm_measure, sign_map
 from cavityflux.spectrum import classify
 from cavityflux.sweep import SweepConfig
-from cavityflux.trajectories import estimate_flux
+from cavityflux.trajectories import estimate_flux, sample_jump_times
 
 NAN, INF = float("nan"), float("inf")
 GRID = dict(v_min=0.05, v_max=1.2, v_count=2, delta_min=0.0, delta_max=2.0,
             delta_count=2, omega_threshold=1.817)
 POINT = ["--v", "1", "--delta", "0"]
+PARAMS = ModelParams(v=1.0, delta=0.0)
 
 LIBRARY = {
     "params-v": ("v", lambda: ModelParams(v=NAN, delta=0.0)),
@@ -56,11 +57,20 @@ LIBRARY = {
         ModelParams(v=1.0, delta=0.0), -1.0)),
     "estimate-bin": ("bin_width", lambda: estimate_flux(
         ModelParams(v=1.0, delta=0.0), 10, bin_width=NAN)),
+    "grid-t_max": ("t_max", lambda: time_grid(INF, 1e-3)),
+    "measure-dt-zero": ("dt", lambda: nm_measure(PARAMS, 0.0)),
+    "measure-dt-nan": ("dt", lambda: nm_measure(PARAMS, NAN)),
+    "classify-dt": ("dt", lambda: classify(PARAMS, 1.8, dt=0.0)),
+    "jumps-dt": ("dt", lambda: sample_jump_times(PARAMS, 10, 1, dt=0.0)),
+    "sign_map-dt": ("dt", lambda: sign_map("v", 1.0, [0.5], dt=0.0)),
+    "boundary-deltas-empty": ("deltas", lambda: markovian_boundary([])),
+    "sweep-master_seed": ("master_seed", lambda: SweepConfig(
+        **GRID, n_traj=10, master_seed=-3)),
 }
 
 # each runs in its own interpreter, since a zero or negative tolerance
 # once never returned (so library calls take only a NaN one); {tmp} is
-# the test's directory
+# the test's directory, which holds the configs cfg.json and sweep.json
 COMMAND_LINE = {
     "boundary-tol-zero": ("tol_v", ["boundary", "--delta-count", "2",
                                     "--tol", "0", "--out", "{tmp}/b.csv"]),
@@ -79,6 +89,12 @@ COMMAND_LINE = {
                            "--out", "{tmp}/mc"]),
     "config-t_max": ("--t-max", ["measure", *POINT,
                                  "--config", "{tmp}/cfg.json"]),
+    "boundary-delta-count": ("--delta-count", ["boundary", "--delta-count",
+                                               "0", "--out", "{tmp}/b.csv"]),
+    "classify-boundary-points": ("--boundary-points", [
+        "classify", *POINT, "--auto-threshold", "--boundary-points", "0"]),
+    "sweep-master_seed": ("master_seed", ["sweep", "{tmp}/sweep.json",
+                                          "--out", "{tmp}/sw"]),
 }
 
 
@@ -93,13 +109,16 @@ def test_bad_input_is_rejected(case, tmp_path):
         return
     field, argv = COMMAND_LINE[name]
     (tmp_path / "cfg.json").write_text(json.dumps({"t_max": NAN}))
+    (tmp_path / "sweep.json").write_text(json.dumps(
+        {**GRID, "n_traj": 10, "master_seed": -3}))
     proc = subprocess.run(
         [sys.executable, "-m", "cavityflux.cli",
          *(a.format(tmp=tmp_path) for a in argv)],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert field in proc.stderr
-    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
+                                                          "sweep.json"]
 
 
 def test_boundary_tolerance_below_float_spacing_ends(tmp_path):

@@ -18,6 +18,7 @@ from cavityflux.nonmarkov import (
     markovian_boundary,
     mode_gain_values,
     nm_measure,
+    parallel_map,
     resolve_workers,
     sigma_positive,
     sigma_values,
@@ -399,15 +400,20 @@ def test_boundary_csv(tmp_path):
 def test_resolve_workers(monkeypatch):
     monkeypatch.delenv("NM_WORKERS", raising=False)
     assert resolve_workers() == 1
-    assert resolve_workers(default=3) == 3
     assert resolve_workers(workers=4) == 4
     monkeypatch.setenv("NM_WORKERS", "2")
     assert resolve_workers() == 2
     assert resolve_workers(workers=5) == 5   # explicit count wins
-    assert resolve_workers(default=3) == 2   # env var beats the default
     assert resolve_workers(workers=0) == 1   # clamped to at least one
     monkeypatch.setenv("NM_WORKERS", "")     # empty counts as unset
-    assert resolve_workers(default=3) == 3
+    assert resolve_workers() == 1
+
+
+def test_parallel_map_keeps_one_chunk_in_process():
+    # a lambda cannot be pickled, so this passes only without a pool: a
+    # sweep of one delta column or a boundary of few detunings is one chunk
+    assert parallel_map(lambda t: 2 * t, [1, 2, 3], 4,
+                        chunksize=3) == [2, 4, 6]
 
 
 def test_sign_map_validation():

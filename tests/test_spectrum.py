@@ -353,7 +353,7 @@ def test_verdict_serialization():
     assert "omega_peak" in verdict.to_json()
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
+@settings(max_examples=30)
 @given(v=st.floats(0.05, 2.5), delta=st.floats(-2.0, 2.0),
        gamma=st.floats(0.1, 1e3))
 def test_gamma_invariance(v, delta, gamma):

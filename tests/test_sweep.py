@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cavityflux import sweep
 from cavityflux.dynamics import ModelParams
 from cavityflux.nonmarkov import markovian_boundary, nm_measure
 from cavityflux.spectrum import classify
@@ -18,6 +19,7 @@ from cavityflux.sweep import (
     figure_datasets,
     run_sweep,
 )
+from cavityflux.trajectories import estimate_flux
 
 OMEGA_M = 1.8170
 
@@ -161,6 +163,31 @@ def test_error_isolation(tmp_path):
     assert row[6] == "Error(ValueError)"
 
 
+def test_cell_seed_index_is_delta_major():
+    # cell (delta_j, v_i) samples from seed index j * v_count + i; on a
+    # non-square grid the transposed index i * delta_count + j differs
+    cfg = _config(v_min=0.5, v_max=1.5, v_count=3, delta_min=0.0,
+                  delta_max=1.0, delta_count=2, n_traj=200, master_seed=5)
+    region = run_sweep(cfg)
+    assert region.all_ok
+    for j, delta in enumerate(cfg.delta_values()):
+        for i, v in enumerate(cfg.v_values()):
+            index = j * cfg.v_count + i
+            cell = region.cells[index]
+            params = ModelParams(v=float(v), delta=float(delta),
+                                 t_max=cfg.t_max)
+            flux = estimate_flux(params, cfg.n_traj, cfg.bin_width,
+                                 _cell_seed(cfg.master_seed, index), cfg.dt)
+            verdict = classify(params, cfg.omega_threshold,
+                               min_prominence=cfg.min_prominence, flux=flux,
+                               ground_truth=True, dt=cfg.dt, eps_n=cfg.eps_n)
+            assert np.isfinite(verdict.prominence)
+            assert (cell["delta"], cell["v"]) == (delta, v)
+            assert cell["omega_peak"] == verdict.omega_peak
+            assert cell["prominence"] == verdict.prominence
+            assert cell["verdict"] == verdict.label
+
+
 @pytest.mark.parametrize("master_seed,cell_index",
                          [(0, 0), (7, 3), (2**40, 99), (2**64 + 1, 2499)])
 def test_cell_seed_is_numpy_seed_sequence_word(master_seed, cell_index):
@@ -212,13 +239,13 @@ def test_threshold_boundary_runs_on_the_sweep_workers(monkeypatch):
 
 
 def test_workers_env_override(monkeypatch):
-    cfg = _config(v_count=1, delta_count=2, workers=1)
+    # the config's count wins over NM_WORKERS, which wins over one worker
     monkeypatch.setenv("NM_WORKERS", "2")
-    region = run_sweep(cfg)
-    assert region.n_workers == 2
+    assert run_sweep(_config(v_count=1, delta_count=2,
+                             workers=1)).n_workers == 1
+    assert run_sweep(_config(v_count=1, delta_count=2)).n_workers == 2
     monkeypatch.setenv("NM_WORKERS", "")
-    region = run_sweep(cfg)
-    assert region.n_workers == 1
+    assert run_sweep(_config(v_count=1, delta_count=2)).n_workers == 1
 
 
 def test_manifest_excludes_execution_details():
@@ -254,8 +281,9 @@ def test_unknown_figure(tmp_path):
             figure_datasets(bad, tmp_path)
 
 
-def test_figure1_datasets(tmp_path):
-    paths = figure_datasets(1, tmp_path, dt=1e-2)
+def test_figure1_datasets(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweep, "FIG_DT", 1e-2)
+    paths = figure_datasets(1, tmp_path)
     names = {p.name for p in paths}
     assert len([n for n in names if n.startswith("population_")]) == 6
     assert len([n for n in names if n.startswith("flux_")]) == 6
@@ -274,8 +302,10 @@ def test_figure1_datasets(tmp_path):
     assert np.all(np.diff(pop["population"]) <= 1e-12)   # below threshold
 
 
-def test_figure2_datasets(tmp_path):
-    paths = figure_datasets(2, tmp_path, sign_points=11, sign_dt=0.1)
+def test_figure2_datasets(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweep, "FIG2_POINTS", 11)
+    monkeypatch.setattr(sweep, "FIG2_DT", 0.1)
+    paths = figure_datasets(2, tmp_path)
     names = {p.name for p in paths}
     assert {"sign_map_delta.csv", "sign_map_v.csv",
             "plot_figures.py"} <= names
@@ -285,8 +315,10 @@ def test_figure2_datasets(tmp_path):
     assert set(np.unique(frame["c_pos"])) <= {0.0, 1.0}
 
 
-def test_figure3_datasets(tmp_path):
-    paths = figure_datasets(3, tmp_path, boundary_points=15, map_points=10)
+def test_figure3_datasets(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweep, "FIG3_DELTA_POINTS", 15)
+    monkeypatch.setattr(sweep, "FIG3_V_POINTS", 10)
+    paths = figure_datasets(3, tmp_path)
     names = {p.name for p in paths}
     assert {"boundary.csv", "omega_map.csv", "threshold.json"} <= names
     thr = json.loads((tmp_path / "threshold.json").read_text())
