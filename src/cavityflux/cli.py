@@ -56,15 +56,16 @@ def parse_args(parser, argv=None) -> argparse.Namespace:
     """Flags over --config over defaults, then gamma units made absolute.
 
     Config values become the subcommand's defaults as strings, so the
-    second parse types them as it types flags; other keys are ignored.
-    A non-finite float flag is a usage error.
+    second parse types them as it types flags; other keys are ignored,
+    and a null value counts as not given.  A non-finite float flag is a
+    usage error.
     """
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        config = {key: value if value is None or isinstance(value, bool)
-                  else str(value)
+        config = {key: value if isinstance(value, bool) else str(value)
                   for key, value in _load_config(args.config).items()
-                  if key in vars(args) and key not in ("command", "func")}
+                  if key in vars(args) and key not in ("command", "func")
+                  and value is not None}
         parser.commands[args.command].set_defaults(**config)
         args = parser.parse_args(argv)
     for key in ("v", "delta"):

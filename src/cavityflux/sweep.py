@@ -10,6 +10,7 @@ and versions but no timestamps, keeping reruns byte-identical.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from itertools import product
 from pathlib import Path
@@ -25,7 +26,7 @@ from .nonmarkov import (EPS_N, markovian_boundary, parallel_map,
 from .nonmarkov import nm_measure  # noqa: F401  (perfbench rebinds it here)
 from .spectrum import (DEFAULT_MIN_PROMINENCE, classify, coherent_frequency,
                        detrend, dft, dominant_peak, threshold_frequency)
-from .trajectories import DEFAULT_BIN_WIDTH, estimate_flux, philox_keys
+from .trajectories import DEFAULT_BIN_WIDTH, estimate_flux, trajectory_seed
 
 FIGURE_IDS = (1, 2, 3, 4)
 
@@ -69,6 +70,15 @@ class SweepConfig:
     workers: int | None = None   # None = NM_WORKERS, else 1
 
     def __post_init__(self):
+        for name in ("v_count", "delta_count", "n_traj", "master_seed"):
+            value = getattr(self, name)
+            if value is None and name == "master_seed":
+                continue
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {value!r}") from None
         for name in ("v_min", "v_max", "delta_min", "delta_max",
                      "bin_width", "min_prominence", "eps_n"):
             if not math.isfinite(getattr(self, name)):
@@ -106,10 +116,8 @@ class SweepConfig:
 
 
 def _cell_seed(master_seed: int, cell_index: int) -> int:
-    # key word 0 is SeedSequence(master_seed, spawn_key=(cell_index,))
-    # .generate_state(1, np.uint64)[0]
-    key = philox_keys(master_seed, np.array([cell_index], dtype=np.uint32))
-    return int(key[0][0])
+    return int(trajectory_seed(master_seed, cell_index)
+               .generate_state(1, np.uint64)[0])
 
 
 def _sweep_cell(task) -> dict:

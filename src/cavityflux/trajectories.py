@@ -18,12 +18,13 @@ N^2, and two or three passes reach JUMP_TOL.
 Per-trajectory generators are Philox streams keyed by (master_seed,
 trajectory index), so records are reproducible regardless of execution
 order or worker count.  The streams are numpy's
-``Philox(SeedSequence(master_seed, spawn_key=(index,)))``, unchanged, but
-the first draws of a block of JUMP_BLOCK trajectories are computed
-together: the SeedSequence hash and the Philox4x64-10 block are evaluated
-as uint32/uint64 array arithmetic over the block's indices, bit for bit
-equal to numpy's own per-trajectory draw.  Draws and inversion run one
-block at a time, so working memory stays flat in the ensemble size.
+``Philox(trajectory_seed(master_seed, index))``, unchanged, but the
+first draws of a block of JUMP_BLOCK trajectories are computed together:
+numpy's SeedSequence mixes the master seed once, and the spawn-index mix,
+the state hash and the Philox4x64-10 block are uint32/uint64 array
+arithmetic over the block's indices, bit for bit equal to numpy's own
+draw.  Draws and inversion run one block at a time, so working memory
+stays flat in the ensemble size.
 """
 
 from __future__ import annotations
@@ -82,17 +83,6 @@ def trajectory_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
 
 
-def _uint32_words(seed) -> list:
-    """A non-negative int as little-endian 32-bit words, as numpy splits it."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    words = [seed & _MASK32]
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    return words
-
-
 class _HashMix:
     """numpy's ``hashmix`` on uint32 arrays, with its running multiplier."""
 
@@ -111,30 +101,24 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-def philox_keys(master_seed: int, indices: np.ndarray):
+def _philox_keys(master_seed: int, indices: np.ndarray):
     """Philox keys of ``trajectory_seed(master_seed, i)`` for uint32 indices.
 
     Returns the two uint64 key words that
     ``trajectory_seed(master_seed, i).generate_state(2, np.uint64)``
-    gives, for every i at once: numpy's ``mix_entropy`` over the master
-    seed's words (padded to the pool size, as a spawn key is present)
-    followed by the spawn index, then ``generate_state``.
+    gives, for every i at once: numpy mixes the master seed's words into
+    its pool, then the spawn index, then ``generate_state`` hashes the
+    pool.  Only the last two steps depend on i.
     """
-    # the master seed's words are shared by every index: one-element
-    # arrays that broadcast once the index word is mixed in
-    words = [np.array([w], dtype=np.uint32)
-             for w in _uint32_words(master_seed)]
-    words += [np.zeros(1, dtype=np.uint32)] * (_POOL_SIZE - len(words))
-    words.append(indices)
-    hashmix = _HashMix(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
+    master_seed = operator.index(master_seed)
+    pool = np.random.SeedSequence(master_seed).pool
+    # numpy's mix_entropy makes one hashmix call per pool word (filling
+    # missing words with hashmix(0), which is exactly what spawn-key
+    # padding feeds in), 12 for the cross mix and 4 per word past the
+    # pool: k = 4 * max(4, n_words) calls precede the spawn index
+    k = 4 * max(_POOL_SIZE, -(-master_seed.bit_length() // 32))
+    hashmix = _HashMix(_INIT_A * pow(_MULT_A, k, 2 ** 32) & _MASK32, _MULT_A)
+    pool = [_mix(p, hashmix(indices)) for p in pool[:, None]]
     hashout = _HashMix(_INIT_B, _MULT_B)
     state = [hashout(p).astype(np.uint64) for p in pool]
     return state[0] | state[1] << 32, state[2] | state[3] << 32
@@ -174,7 +158,7 @@ def trajectory_uniforms(master_seed: int, n_traj: int,
     ``random()`` maps output word 0 to (x >> 11) * 2**-53.
     """
     indices = np.arange(start, start + n_traj, dtype=np.uint32)
-    key = philox_keys(master_seed, indices)
+    key = _philox_keys(master_seed, indices)
     x = _philox4x64((1, 0, 0, 0), key)[0]
     return 1.0 - (x >> 11) * 2.0 ** -53
 
@@ -293,6 +277,9 @@ def sample_jump_times(params: ModelParams, n_traj: int, master_seed: int,
     if n_traj > MAX_TRAJECTORIES:
         raise ValueError(
             f"n_traj must be <= {MAX_TRAJECTORIES}, got {n_traj}")
+    if master_seed < 0:
+        raise ValueError(
+            f"master_seed must be a non-negative integer, got {master_seed}")
     times = time_grid(params.t_max, dt)
     n2 = np.minimum.accumulate(survival_at(params, times))
     jump_times = np.empty(n_traj)

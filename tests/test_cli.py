@@ -202,6 +202,18 @@ def test_boundary_cli(tmp_path):
     assert data["v_c"] == pytest.approx(0.25, abs=0.005)
 
 
+def test_boundary_cli_pool_writes_the_same_bytes(tmp_path):
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"boundary-{workers}.csv"
+        code, _, err = run_cli("boundary", "--delta-count", "17",
+                               "--t-max", "20", "--workers", workers,
+                               "--out", str(out))
+        assert code == 0, err
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_spectrum_cli(tmp_path):
     out = tmp_path / "spec.csv"
     code, stdout, _ = run_cli("spectrum", "--v", "2", "--delta", "2",
@@ -330,6 +342,21 @@ def test_config_file_precedence(tmp_path):
     # explicit flags win over the config file
     _, stdout, _ = run_cli("measure", "--config", str(config), "--v", "1")
     assert json.loads(stdout)["is_nonmarkovian"] is True
+
+
+def test_null_config_value_means_not_given(tmp_path):
+    config = tmp_path / "null.json"
+    config.write_text(json.dumps({"dt": None}))
+    code, by_config, err = run_cli("measure", "--v", "1", "--delta", "0",
+                                   "--config", str(config))
+    assert code == 0, err
+    assert by_config == run_cli("measure", "--v", "1", "--delta", "0")[1]
+    config.write_text(json.dumps({"delta_count": None}))
+    code, stdout, err = run_cli("boundary", "--config", str(config),
+                                "--t-max", "20",
+                                "--out", str(tmp_path / "b.csv"))
+    assert code == 0, err
+    assert "41 detunings" in stdout
 
 
 def test_omega_threshold_in_units_of_gamma(capsys):

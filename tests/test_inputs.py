@@ -66,11 +66,29 @@ LIBRARY = {
     "boundary-deltas-empty": ("deltas", lambda: markovian_boundary([])),
     "sweep-master_seed": ("master_seed", lambda: SweepConfig(
         **GRID, n_traj=10, master_seed=-3)),
+    "sweep-v_count-float": ("v_count", lambda: SweepConfig(
+        **{**GRID, "v_count": 2.0})),
+    "sweep-delta_count-float": ("delta_count", lambda: SweepConfig(
+        **{**GRID, "delta_count": 2.0})),
+    "sweep-n_traj-float": ("n_traj", lambda: SweepConfig(
+        **GRID, n_traj=10.5, master_seed=1)),
+    "sweep-master_seed-float": ("master_seed", lambda: SweepConfig(
+        **GRID, n_traj=10, master_seed=1.5)),
+}
+
+# the sweep configs that the CLI rows read, one bad field each; a key
+# names the field, then any suffix after a dash
+SWEEP_CONFIGS = {
+    "master_seed": {**GRID, "n_traj": 10, "master_seed": -3},
+    "v_count": {**GRID, "v_count": 2.0},
+    "n_traj": {**GRID, "n_traj": 10.5, "master_seed": 1},
+    "master_seed-float": {**GRID, "n_traj": 10, "master_seed": 1.5},
 }
 
 # each runs in its own interpreter, since a zero or negative tolerance
 # once never returned (so library calls take only a NaN one); {tmp} is
-# the test's directory, which holds the configs cfg.json and sweep.json
+# the test's directory, which holds the configs cfg.json and
+# sweep-<key>.json for each key of SWEEP_CONFIGS
 COMMAND_LINE = {
     "boundary-tol-zero": ("tol_v", ["boundary", "--delta-count", "2",
                                     "--tol", "0", "--out", "{tmp}/b.csv"]),
@@ -93,8 +111,10 @@ COMMAND_LINE = {
                                                "0", "--out", "{tmp}/b.csv"]),
     "classify-boundary-points": ("--boundary-points", [
         "classify", *POINT, "--auto-threshold", "--boundary-points", "0"]),
-    "sweep-master_seed": ("master_seed", ["sweep", "{tmp}/sweep.json",
-                                          "--out", "{tmp}/sw"]),
+    **{f"sweep-{key}": (key.partition("-")[0],
+                        ["sweep", f"{{tmp}}/sweep-{key}.json",
+                         "--out", "{tmp}/sw"])
+       for key in SWEEP_CONFIGS},
 }
 
 
@@ -108,17 +128,18 @@ def test_bad_input_is_rejected(case, tmp_path):
             call()
         return
     field, argv = COMMAND_LINE[name]
-    (tmp_path / "cfg.json").write_text(json.dumps({"t_max": NAN}))
-    (tmp_path / "sweep.json").write_text(json.dumps(
-        {**GRID, "n_traj": 10, "master_seed": -3}))
+    configs = {"cfg.json": {"t_max": NAN},
+               **{f"sweep-{key}.json": config
+                  for key, config in SWEEP_CONFIGS.items()}}
+    for config_name, config in configs.items():
+        (tmp_path / config_name).write_text(json.dumps(config))
     proc = subprocess.run(
         [sys.executable, "-m", "cavityflux.cli",
          *(a.format(tmp=tmp_path) for a in argv)],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert field in proc.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
-                                                          "sweep.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(configs)
 
 
 def test_boundary_tolerance_below_float_spacing_ends(tmp_path):

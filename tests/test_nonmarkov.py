@@ -409,6 +409,15 @@ def test_resolve_workers(monkeypatch):
     assert resolve_workers() == 1
 
 
+def test_boundary_pool_matches_one_worker():
+    # 17 detunings fill three chunks of 8, so two workers start a pool
+    deltas = np.linspace(0.0, 2.0, 17)
+    pooled = markovian_boundary(deltas, t_max=20.0, workers=2)
+    serial = markovian_boundary(deltas, t_max=20.0, workers=1)
+    assert_array_equal(pooled.v_c, serial.v_c)
+    assert pooled.unbracketed == serial.unbracketed
+
+
 def test_parallel_map_keeps_one_chunk_in_process():
     # a lambda cannot be pickled, so this passes only without a pool: a
     # sweep of one delta column or a boundary of few detunings is one chunk

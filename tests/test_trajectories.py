@@ -23,10 +23,10 @@ from cavityflux.trajectories import (
     PartialBinWarning,
     _invert_survival,
     _philox4x64,
+    _philox_keys,
     analytic_flux_at_bins,
     estimate_flux,
     flux_residual_stats,
-    philox_keys,
     sample_jump_times,
     survival_at,
     trajectory_seed,
@@ -59,10 +59,12 @@ def _numpy_uniform(master_seed, index):
     return 1.0 - rng.random()
 
 
-# 2**130 + 77 spans five 32-bit words: longer than the SeedSequence pool,
-# so the master seed is not padded before the spawn index
+# 2**96 + 1 fills the SeedSequence pool's four 32-bit words exactly;
+# 2**130 + 77 (five words) and 2**290 + 11 (ten) are longer than the
+# pool, so the master seed is not padded before the spawn index
 @pytest.mark.parametrize("master_seed",
-                         [0, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 77])
+                         [0, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 1,
+                          2**130 + 77, 2**290 + 11])
 def test_uniforms_match_numpy_streams(master_seed):
     rng = np.random.default_rng(master_seed % 1000)
     n = 4000
@@ -74,7 +76,7 @@ def test_uniforms_match_numpy_streams(master_seed):
     # keys over the whole single-word index range, the top included
     high = np.append(rng.integers(MAX_TRAJECTORIES, size=31,
                                   dtype=np.uint32), np.uint32(2**32 - 1))
-    k0, k1 = philox_keys(master_seed, high)
+    k0, k1 = _philox_keys(master_seed, high)
     expected = np.array([trajectory_seed(master_seed, int(i))
                          .generate_state(2, np.uint64) for i in high])
     assert_array_equal(k0, expected[:, 0])
@@ -109,8 +111,11 @@ def test_record_uses_numpy_trajectory_streams():
 
 
 def test_sample_input_guards():
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="master_seed.*non-negative"):
         sample_jump_times(STRONG, 5, master_seed=-3)
+    # numpy would take None as a request for fresh OS entropy
+    with pytest.raises(TypeError):
+        trajectory_uniforms(None, 4)
     # rejected before any per-trajectory array exists
     with pytest.raises(ValueError, match="n_traj must be <="):
         sample_jump_times(STRONG, MAX_TRAJECTORIES + 1, master_seed=0)
@@ -125,6 +130,13 @@ def test_zero_coupling_never_jumps():
     record = sample_jump_times(ModelParams(v=1.0, delta=0.0, c0_init=0.0),
                                50, master_seed=1)
     assert record.n_jumps == 0
+
+
+def test_numpy_integer_seed_gives_the_same_record():
+    a = sample_jump_times(STRONG, 300, master_seed=np.int64(5))
+    b = sample_jump_times(STRONG, 300, master_seed=5)
+    assert_array_equal(a.jump_times, b.jump_times)
+    assert a.master_seed == 5 and type(a.master_seed) is int
 
 
 def test_record_reproducible():
