@@ -7,22 +7,24 @@ Physics flags and config values are in units of gamma: parse_args
 multiplies the frequencies by gamma and divides the times by gamma
 once, so every command reads absolute values.
 
-Exit codes: 0 success, 1 numerical/detection failure (NoSignal,
-EmptyRegion, GridMismatch, failed sweep cells, --strict), 2 usage error.
+Exit codes: 0 success, 1 numerical/detection failure (EmptyRegion,
+GridMismatch, failed sweep cells, --strict), 2 usage error.  A flux
+with no signal is a result, not a failure: spectrum prints "no signal"
+and classify reports the note "zero flux", both with exit 0, unless
+classify --strict turns that note into exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
-                       amplitude_series, photon_flux_analytic)
+                       amplitude_series, photon_flux_analytic, require_finite)
 from .files import write_csv
 from .nonmarkov import (BOUNDARY_DT, BOUNDARY_T_MAX, BOUNDARY_TOL_V,
                         BOUNDARY_V_SEARCH, EPS_N, markovian_boundary,
@@ -40,15 +42,16 @@ FREQUENCIES = ("v", "delta", "v_lo", "v_hi", "tol", "omega_threshold")
 TIMES = ("t_max", "dt", "bin")
 
 
-class CliError(ValueError):
-    """Invalid input; reported with usage text and exit code 2."""
+# the lower bound of each bounded number flag, and whether it is strict
+BOUNDS = {"gamma": (0, True), "dt": (0, True), "delta_count": (1, False),
+          "boundary_points": (1, False), "n_traj": (1, False)}
 
 
 def _load_config(path) -> dict:
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
-        raise CliError(f"config {path} must hold a JSON object")
+        raise ValueError(f"config {path} must hold a JSON object")
     return data
 
 
@@ -57,7 +60,8 @@ def parse_args(parser, argv=None) -> argparse.Namespace:
 
     Config values become the subcommand's defaults as strings, so the
     second parse types them as it types flags; other keys are ignored,
-    and a null value counts as not given.  A non-finite float flag is a
+    and a null value counts as not given.  Every float flag must be
+    finite and each flag in BOUNDS past its lower bound, or it is a
     usage error.
     """
     args = parser.parse_args(argv)
@@ -70,19 +74,12 @@ def parse_args(parser, argv=None) -> argparse.Namespace:
         args = parser.parse_args(argv)
     for key in ("v", "delta"):
         if hasattr(args, key) and getattr(args, key) is None:
-            raise CliError(f"missing required --{key}")
+            raise ValueError(f"missing required --{key}")
     for key, value in vars(args).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise CliError(f"--{key.replace('_', '-')} must be finite, "
-                           f"got {value}")
-        if key in ("delta_count", "boundary_points") and value < 1:
-            raise CliError(f"--{key.replace('_', '-')} must be >= 1, "
-                           f"got {value}")
+        if isinstance(value, float) or key in BOUNDS:
+            require_finite(f"--{key.replace('_', '-')}", value,
+                           *BOUNDS.get(key, ()))
     if hasattr(args, "gamma"):
-        for key in ("gamma", "dt"):
-            value = getattr(args, key)
-            if not value > 0:
-                raise CliError(f"--{key} must be > 0, got {value}")
         for key in FREQUENCIES + TIMES:
             value = getattr(args, key, None)
             if value is not None:
@@ -142,8 +139,6 @@ def cmd_dynamics(args) -> int:
 
 def cmd_mcwf(args) -> int:
     params = _params(args)
-    if args.n_traj < 1:
-        raise CliError(f"--n-traj must be >= 1, got {args.n_traj}")
     if args.seed is None:
         print("warning: --seed not given, defaulting to 0", file=sys.stderr)
         args.seed = 0
@@ -207,7 +202,7 @@ def cmd_classify(args) -> int:
     omega_threshold = args.omega_threshold
     if omega_threshold is None:
         if not args.auto_threshold:
-            raise CliError(
+            raise ValueError(
                 "either --omega-threshold or --auto-threshold required")
         deltas = np.linspace(0.0, 2.0 * args.gamma, args.boundary_points)
         boundary = markovian_boundary(deltas, gamma=args.gamma)
@@ -228,7 +223,7 @@ def cmd_sweep(args) -> int:
     try:
         config = SweepConfig(**data)
     except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid sweep config: {exc}") from exc
+        raise ValueError(f"invalid sweep config: {exc}") from exc
     region_map = run_sweep(config, out_dir=out_dir)
     n_cells = region_map.deltas.size * region_map.vs.size
     print(f"swept {n_cells} cells into {out_dir} "

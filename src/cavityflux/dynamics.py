@@ -35,6 +35,20 @@ DEFAULT_T_MAX = 14.0
 DEFAULT_DT = 1e-3
 
 
+def require_finite(name: str, value, low=None, strict: bool = False):
+    """The one input rule: value, if it is finite and >= low (> low when
+    strict); otherwise a ValueError that names the field.
+
+    A Python int is finite however large, so it skips the float test,
+    which would overflow past 2**1024 (a master seed may be that long).
+    """
+    if ((isinstance(value, int) or math.isfinite(value))
+            and (low is None or (value > low if strict else value >= low))):
+        return value
+    bound = "" if low is None else f" and {'>' if strict else '>='} {low}"
+    raise ValueError(f"{name} must be finite{bound}, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters of the atom-mode pair.
@@ -62,16 +76,10 @@ class ModelParams:
     def __post_init__(self):
         # gamma = 0 is allowed for lossless closed-form checks; the CLI
         # requires gamma > 0 since it rescales into units of gamma
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError(
-                f"gamma must be finite and >= 0, got {self.gamma}")
-        if not (math.isfinite(self.v) and self.v >= 0):
-            raise ValueError(f"v must be finite and >= 0, got {self.v}")
-        if not math.isfinite(self.delta):
-            raise ValueError(f"delta must be finite, got {self.delta}")
-        if not (math.isfinite(self.t_max) and self.t_max > 0):
-            raise ValueError(
-                f"t_max must be finite and > 0, got {self.t_max}")
+        require_finite("gamma", self.gamma, 0)
+        require_finite("v", self.v, 0)
+        require_finite("delta", self.delta)
+        require_finite("t_max", self.t_max, 0, strict=True)
         c0 = complex(self.c0_init)
         if not (cmath.isfinite(c0) and abs(c0) <= 1.0 + 1e-12):
             raise ValueError(f"c0_init must be finite with |c0_init| <= 1, "
@@ -85,9 +93,8 @@ class ModelParams:
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:
     """Uniform grid 0, dt, 2 dt, ... covering [0, t_max]."""
-    for name, value in (("t_max", t_max), ("dt", dt)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    require_finite("t_max", t_max, 0, strict=True)
+    require_finite("dt", dt, 0, strict=True)
     n = int(round(t_max / dt))
     if n < 1:
         raise ValueError(f"dt={dt} too coarse for t_max={t_max}")
@@ -193,6 +200,9 @@ class FluxSeries:
 
     @property
     def dt(self) -> float:
+        if self.times.size < 2:
+            raise ValueError(
+                f"flux needs at least 2 samples, got {self.times.size}")
         return float(self.times[1] - self.times[0])
 
     def to_csv(self, path):

@@ -23,7 +23,7 @@ revival there; only probes without one scan the rest of the grid.
 
 from __future__ import annotations
 
-import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
-                       amplitudes_analytic, splitting, time_grid)
+                       amplitudes_analytic, require_finite, splitting,
+                       time_grid)
 from .files import write_csv
 
 ENDPOINT_TOL = 1e-8   # time tolerance of revival endpoint bisection
@@ -208,10 +209,18 @@ def resolve_workers(workers=None) -> int:
     """Explicit count wins, then the NM_WORKERS env var, then 1.
 
     An empty NM_WORKERS counts as unset; counts clamp to at least one.
+    A count that is not an integer raises a ValueError naming its source.
     """
+    name = "workers"
     if workers is None:
-        workers = os.environ.get("NM_WORKERS") or 1
-    return max(1, int(workers))
+        name, workers = "NM_WORKERS", os.environ.get("NM_WORKERS") or "1"
+    try:
+        count = (int(workers) if isinstance(workers, str)
+                 else operator.index(workers))
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{name} must be an integer, got {workers!r}") from None
+    return max(1, count)
 
 
 def parallel_map(fn, tasks, n_workers: int, chunksize: int) -> list:
@@ -244,19 +253,16 @@ def markovian_boundary(delta_values, v_search=None,
     reported in unbracketed, not raised.  Non-finite or out-of-range
     inputs raise ValueError.
     """
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
+    require_finite("gamma", gamma, 0, strict=True)
     v_lo, v_hi = (v_search if v_search is not None
                   else [v * gamma for v in BOUNDARY_V_SEARCH])
-    if not (math.isfinite(v_hi) and 0 <= v_lo < v_hi):
-        raise ValueError(f"v_search must be finite with 0 <= v_lo < v_hi, "
-                         f"got {v_search}")
+    require_finite("v_search[0]", v_lo, 0)
+    require_finite("v_search[1]", v_hi, v_lo, strict=True)
     tol_v = BOUNDARY_TOL_V * gamma if tol_v is None else tol_v
     t_max = BOUNDARY_T_MAX / gamma if t_max is None else t_max
     dt = BOUNDARY_DT / gamma if dt is None else dt
     for name, value in (("tol_v", tol_v), ("t_max", t_max), ("dt", dt)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
+        require_finite(name, value, 0, strict=True)
     deltas = np.asarray(delta_values, dtype=float)
     if deltas.size == 0 or not np.isfinite(deltas).all():
         raise ValueError(f"deltas must be non-empty and finite, got {deltas}")

@@ -20,12 +20,12 @@ non-Markovian dynamics.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DEFAULT_DT, FluxSeries, ModelParams, amplitude_series
+from .dynamics import (DEFAULT_DT, FluxSeries, ModelParams, amplitude_series,
+                       require_finite)
 from .files import write_csv
 from .nonmarkov import EPS_N, BoundaryCurve, nm_measure
 
@@ -81,6 +81,7 @@ def dft(r, dt: float) -> SpectrumResult:
     No window: the flux decays to ~0 within the horizon, so leakage is
     already limited.
     """
+    require_finite("dt", dt, 0, strict=True)
     r = np.asarray(r, dtype=float)
     n = r.size
     if n < 2:
@@ -251,9 +252,9 @@ def classify(params: ModelParams, omega_threshold: float,
     the measure is evaluated to refine undetected points into Markovian
     vs NonMarkovianUndetectable.
     """
-    if not (math.isfinite(omega_threshold) and omega_threshold >= 0):
-        raise ValueError(f"omega_threshold must be finite and >= 0, "
-                         f"got {omega_threshold}")
+    require_finite("omega_threshold", omega_threshold, 0)
+    require_finite("min_prominence", min_prominence)
+    require_finite("eps_n", eps_n)
     if flux is None:
         # bound to a name, so the amplitudes live until the measure has
         # run: freed earlier, their pages go back to the system and the

@@ -9,7 +9,6 @@ and versions but no timestamps, keeping reruns byte-identical.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import asdict, dataclass
 from itertools import product
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
-                       amplitude_series, photon_flux_analytic)
+                       amplitude_series, photon_flux_analytic, require_finite)
 from .files import write_csv, write_json
 from .nonmarkov import (EPS_N, markovian_boundary, parallel_map,
                         resolve_workers, sign_map)
@@ -79,34 +78,25 @@ class SweepConfig:
             except TypeError:
                 raise ValueError(
                     f"{name} must be an integer, got {value!r}") from None
-        for name in ("v_min", "v_max", "delta_min", "delta_max",
-                     "bin_width", "min_prominence", "eps_n"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(
-                    f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("v_min", "delta_min", "bin_width", "min_prominence",
+                     "eps_n"):
+            require_finite(name, getattr(self, name))
+        require_finite("v_max", self.v_max, self.v_min)
+        require_finite("delta_max", self.delta_max, self.delta_min)
         for name in ("gamma", "t_max", "dt"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        threshold = self.omega_threshold
-        if threshold is not None and not (math.isfinite(threshold)
-                                          and threshold >= 0):
-            raise ValueError(f"omega_threshold must be finite and >= 0, "
-                             f"got {threshold}")
-        if self.n_traj < 0:
-            raise ValueError(f"n_traj must be >= 0, got {self.n_traj}")
-        if self.v_count < 1 or self.delta_count < 1:
-            raise ValueError("grid counts must be >= 1")
-        if self.v_max < self.v_min or self.delta_max < self.delta_min:
-            raise ValueError("grid bounds must be monotone")
-        if self.n_traj > 0 and self.master_seed is None:
+            require_finite(name, getattr(self, name), 0, strict=True)
+        for name, low in (("v_count", 1), ("delta_count", 1), ("n_traj", 0)):
+            require_finite(name, getattr(self, name), low)
+        if self.omega_threshold is not None:
+            require_finite("omega_threshold", self.omega_threshold, 0)
+        if self.master_seed is not None:
+            require_finite("master_seed", self.master_seed, 0)
+        elif self.n_traj > 0:
             raise ValueError("master_seed required when n_traj > 0")
-        if self.master_seed is not None and self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, "
-                             f"got {self.master_seed}")
-        if self.n_traj > 0 and not 0 < self.bin_width <= self.t_max:
-            raise ValueError(f"bin_width must be in (0, t_max], "
-                             f"got {self.bin_width}")
+        # the spectrum of a sampled flux needs at least 2 bins
+        if self.n_traj > 0 and not 0 < self.bin_width <= self.t_max / 2:
+            raise ValueError(f"bin_width must be in (0, t_max / 2] when "
+                             f"n_traj > 0, got {self.bin_width}")
 
     def v_values(self) -> np.ndarray:
         return np.linspace(self.v_min, self.v_max, self.v_count)

@@ -37,7 +37,8 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (DEFAULT_DT, FluxSeries, ModelParams,
-                       amplitudes_analytic, flux_at, time_grid)
+                       amplitudes_analytic, flux_at, require_finite,
+                       time_grid)
 from .files import write_csv, write_json
 
 # jump-time tolerance: a draw's Newton iteration stops once its step or
@@ -272,8 +273,7 @@ def sample_jump_times(params: ModelParams, n_traj: int, master_seed: int,
     so the working memory does not grow with n_traj; each draw depends
     on its index alone, so the record does not depend on the blocking.
     """
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+    require_finite("n_traj", n_traj, 1)
     if n_traj > MAX_TRAJECTORIES:
         raise ValueError(
             f"n_traj must be <= {MAX_TRAJECTORIES}, got {n_traj}")

@@ -123,7 +123,7 @@ def test_nonpositive_step_or_rate_is_usage_error(argv, flag, tmp_path,
     with pytest.raises(SystemExit) as info:
         cli.main([a.format(tmp=tmp_path) for a in argv])
     assert info.value.code == 2
-    assert f"--{flag} must be > 0" in capsys.readouterr().err
+    assert f"--{flag} must be finite and > 0" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

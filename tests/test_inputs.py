@@ -3,14 +3,19 @@ out-of-range float, an empty grid or a negative seed with a ValueError
 naming the field, and the CLI exits 2 on it without writing output."""
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cavityflux.dynamics import ModelParams, time_grid
+from cavityflux import cli
+from cavityflux.dynamics import ModelParams, require_finite, time_grid
 from cavityflux.nonmarkov import markovian_boundary, nm_measure, sign_map
-from cavityflux.spectrum import classify
+from cavityflux.spectrum import classify, dft
 from cavityflux.sweep import SweepConfig
 from cavityflux.trajectories import estimate_flux, sample_jump_times
 
@@ -74,6 +79,19 @@ LIBRARY = {
         **GRID, n_traj=10.5, master_seed=1)),
     "sweep-master_seed-float": ("master_seed", lambda: SweepConfig(
         **GRID, n_traj=10, master_seed=1.5)),
+    # a sampled flux of one bin has no spectrum
+    "sweep-bin_width-one-bin": ("bin_width", lambda: SweepConfig(
+        **GRID, n_traj=10, master_seed=1, bin_width=10.0)),
+    "classify-one-bin": ("flux", lambda: classify(
+        PARAMS, 1.8, flux=estimate_flux(PARAMS, 10, bin_width=14.0,
+                                        master_seed=1))),
+    "classify-min_prominence": ("min_prominence", lambda: classify(
+        PARAMS, 1.8, min_prominence=NAN)),
+    "classify-eps_n": ("eps_n", lambda: classify(PARAMS, 1.8, eps_n=NAN,
+                                                  ground_truth=True)),
+    "dft-dt-nan": ("dt", lambda: dft(np.ones(4), NAN)),
+    "dft-dt-negative": ("dt", lambda: dft(np.ones(4), -1.0)),
+    "dft-dt-zero": ("dt", lambda: dft(np.ones(4), 0.0)),
 }
 
 # the sweep configs that the CLI rows read, one bad field each; a key
@@ -83,6 +101,7 @@ SWEEP_CONFIGS = {
     "v_count": {**GRID, "v_count": 2.0},
     "n_traj": {**GRID, "n_traj": 10.5, "master_seed": 1},
     "master_seed-float": {**GRID, "n_traj": 10, "master_seed": 1.5},
+    "bin_width": {**GRID, "n_traj": 10, "master_seed": 1, "bin_width": 10.0},
 }
 
 # each runs in its own interpreter, since a zero or negative tolerance
@@ -154,3 +173,96 @@ def test_boundary_tolerance_below_float_spacing_ends(tmp_path):
     v_c = float(out.read_text().splitlines()[1].split(",")[1])
     coarse = markovian_boundary([0.0], t_max=20.0)
     assert abs(v_c - coarse.v_c[0]) < coarse.tol_v
+
+
+def _past(low, strict, integer):
+    """Finite values that break ">= low" ("> low" when strict)."""
+    if integer:
+        return st.integers(max_value=low - 1)
+    edge = low if strict else math.nextafter(low, -math.inf)
+    return st.just(edge) | st.floats(max_value=edge, allow_infinity=False)
+
+
+def _sweep(field):
+    return lambda x: SweepConfig(**{**GRID, field: x})
+
+
+# (field, lower bound, strict, integer, call): every scalar that an
+# entry point checks with require_finite
+CONTRACT = {
+    **{f"params-{f}": (f, low, strict, False,
+                       lambda x, f=f: ModelParams(**{"v": 1.0, "delta": 0.0,
+                                                     f: x}))
+       for f, low, strict in (("gamma", 0, False), ("v", 0, False),
+                              ("delta", None, False), ("t_max", 0, True))},
+    "grid-t_max": ("t_max", 0, True, False, lambda x: time_grid(x, 1e-3)),
+    "grid-dt": ("dt", 0, True, False, lambda x: time_grid(14.0, x)),
+    "boundary-gamma": ("gamma", 0, True, False,
+                       lambda x: markovian_boundary([0.0], gamma=x)),
+    "boundary-v_lo": ("v_search[0]", 0, False, False, lambda x: (
+        markovian_boundary([0.0], v_search=(x, 1.2)))),
+    "boundary-v_hi": ("v_search[1]", 0.05, True, False, lambda x: (
+        markovian_boundary([0.0], v_search=(0.05, x)))),
+    **{f"boundary-{f}": (f, 0, True, False,
+                         lambda x, f=f: markovian_boundary([0.0], **{f: x}))
+       for f in ("tol_v", "t_max", "dt")},
+    "classify-omega_threshold": ("omega_threshold", 0, False, False,
+                                 lambda x: classify(PARAMS, x)),
+    **{f"classify-{f}": (f, None, False, False,
+                         lambda x, f=f: classify(PARAMS, 1.8, **{f: x}))
+       for f in ("min_prominence", "eps_n")},
+    "dft-dt": ("dt", 0, True, False, lambda x: dft(np.ones(4), x)),
+    "jumps-n_traj": ("n_traj", 1, False, True,
+                     lambda x: sample_jump_times(PARAMS, x, 1)),
+    **{f"sweep-{f}": (f, low, strict, integer, _sweep(f))
+       for f, low, strict, integer in (
+           ("v_min", None, False, False), ("delta_min", None, False, False),
+           ("bin_width", None, False, False),
+           ("min_prominence", None, False, False),
+           ("eps_n", None, False, False), ("v_max", 0.05, False, False),
+           ("delta_max", 0.0, False, False), ("gamma", 0, True, False),
+           ("t_max", 0, True, False), ("dt", 0, True, False),
+           ("v_count", 1, False, True), ("delta_count", 1, False, True),
+           ("n_traj", 0, False, True), ("omega_threshold", 0, False, False),
+           ("master_seed", 0, False, True))},
+}
+
+# every float flag of every subcommand, and the bounded integer flags,
+# each after the flags its subcommand needs
+PARSER = cli.build_parser()
+for command, sub in PARSER.commands.items():
+    base = [command]
+    if "--v" in sub._option_string_actions:
+        base += POINT
+    if command == "mcwf":
+        base += ["--n-traj", "1"]
+    for action in sub._actions:
+        key = action.dest
+        if action.type is float or key in cli.BOUNDS:
+            low, strict = cli.BOUNDS.get(key, (None, False))
+            flag = action.option_strings[0]
+            CONTRACT[f"cli-{command}{flag}"] = (
+                flag, low, strict, action.type is int,
+                lambda x, base=base, flag=flag: cli.parse_args(
+                    PARSER, [*base, f"{flag}={x!r}"]))
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT))
+@settings(max_examples=8)
+@given(data=st.data())
+def test_contract_names_the_field(case, data):
+    # nan, +-inf and values past the bound raise before any work starts
+    field, low, strict, integer, call = CONTRACT[case]
+    values = [] if integer else [NAN, INF, -INF]
+    if low is not None:
+        values.append(data.draw(_past(low, strict, integer)))
+    for value in values:
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value).startswith(f"{field} must be"), info.value
+
+
+def test_long_integer_passes_the_rule():
+    # an int past float range is finite, so a long master seed is valid
+    assert require_finite("master_seed", 2**1100, 0) == 2**1100
+    SweepConfig(**GRID, n_traj=10, master_seed=2**1100)

@@ -407,6 +407,15 @@ def test_resolve_workers(monkeypatch):
     assert resolve_workers(workers=0) == 1   # clamped to at least one
     monkeypatch.setenv("NM_WORKERS", "")     # empty counts as unset
     assert resolve_workers() == 1
+    assert resolve_workers(workers=-3) == 1
+    monkeypatch.setenv("NM_WORKERS", "abc")  # a count names its source
+    with pytest.raises(ValueError, match="NM_WORKERS must be an integer"):
+        resolve_workers()
+    monkeypatch.setenv("NM_WORKERS", "2.5")
+    with pytest.raises(ValueError, match="NM_WORKERS must be an integer"):
+        resolve_workers()
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        resolve_workers(workers=2.5)
 
 
 def test_boundary_pool_matches_one_worker():

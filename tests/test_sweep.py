@@ -45,7 +45,7 @@ def test_config_validation():
 @pytest.mark.parametrize("field,value", [
     ("gamma", 0.0), ("gamma", -1.0), ("t_max", 0.0), ("t_max", -14.0),
     ("dt", 0.0), ("dt", -1e-3), ("n_traj", -5),
-    ("bin_width", 0.0), ("bin_width", 14.5)])
+    ("bin_width", 0.0), ("bin_width", 14.5), ("bin_width", 10.0)])
 def test_config_rejects_bad_physics(field, value):
     # the bin width only matters to sampled flux
     sampled = {"n_traj": 10, "master_seed": 1} if field == "bin_width" else {}
