@@ -24,13 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
-                       amplitude_series, photon_flux_analytic, require_finite)
+                       amplitude_series, require_finite)
 from .files import write_csv
 from .nonmarkov import (BOUNDARY_DT, BOUNDARY_T_MAX, BOUNDARY_TOL_V,
                         BOUNDARY_V_SEARCH, EPS_N, markovian_boundary,
                         nm_measure)
 from .spectrum import (DEFAULT_MIN_PROMINENCE, EmptyRegion, NoSignal,
-                       classify, detrend, dft, dominant_peak,
+                       analytic_spectrum, classify, dominant_peak,
                        threshold_frequency)
 from .sweep import SweepConfig, figure_datasets, run_sweep
 from .trajectories import (DEFAULT_BIN_WIDTH, GridMismatch,
@@ -119,6 +119,9 @@ def _add_param_flags(sub, c0: bool = False):
 
 def cmd_dynamics(args) -> int:
     params = _params(args)
+    # the measure first, so a grid it refuses leaves no files behind
+    result = (nm_measure(params, args.dt)
+              if complex(params.c0_init) == 1.0 + 0.0j else None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -128,8 +131,7 @@ def cmd_dynamics(args) -> int:
               series.population())
     series.flux(params.gamma).to_csv(out / "flux.csv")
 
-    if complex(params.c0_init) == 1.0 + 0.0j:
-        result = nm_measure(params, args.dt)
+    if result is not None:
         tag = "non-Markovian" if result.n_value > EPS_N else "Markovian"
         print(f"N = {result.n_value:.6g} ({tag}), "
               f"{len(result.revival_intervals)} revival interval(s)")
@@ -185,7 +187,7 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    spec = dft(detrend(photon_flux_analytic(_params(args), args.dt)), args.dt)
+    spec = analytic_spectrum(_params(args), args.dt)
     spec.to_csv(args.out)
     try:
         peak = dominant_peak(spec)
@@ -328,7 +330,7 @@ def main(argv=None) -> int:
     try:
         args = parse_args(parser, argv)
         return args.func(args)
-    except (NoSignal, EmptyRegion, GridMismatch) as exc:
+    except (EmptyRegion, GridMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)    # numerical failure
         return 1
     except (ValueError, OSError) as exc:

@@ -49,6 +49,18 @@ def require_finite(name: str, value, low=None, strict: bool = False):
     raise ValueError(f"{name} must be finite{bound}, got {value}")
 
 
+def require_resolved(params: ModelParams, dt: float, limit: float):
+    """The resolution rule: dt, if |Im d| dt < limit, so the grid
+    resolves the amplitudes' oscillation at angular frequency |Im d| / 2;
+    otherwise a ValueError that names dt and the largest dt allowed."""
+    rate = abs(splitting(params).imag)
+    if rate * dt < limit:
+        return dt
+    raise ValueError(f"dt must be < {limit / rate:.6g} to resolve the "
+                     f"oscillation at V = {params.v}, delta = "
+                     f"{params.delta}, got {dt}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters of the atom-mode pair.

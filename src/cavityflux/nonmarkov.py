@@ -16,13 +16,17 @@ would swallow them and bias the boundary location.
 The measure, the Markovian boundary and sign_map all take that sign
 from sigma_positive, which drops the decaying envelopes: it cannot
 overflow at any horizon, and revivals keep their sign after the
-envelope underflows, so revival intervals run to the horizon.  Each
-boundary probe scans the first SCAN_HEAD samples first and stops at a
-revival there; only probes without one scan the rest of the grid.
+envelope underflows, so revival intervals run to the horizon.  Past
+the revival-free time t* of revival_free_after no revival occurs, so
+the measure scans the grid once, through its first sample past t*, and
+the whole grid only when t* is infinite.  Each boundary probe scans the
+first SCAN_HEAD samples first and stops at a revival there; only probes
+without one scan the rest of the grid.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -31,12 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
-                       amplitudes_analytic, require_finite, splitting,
-                       time_grid)
+                       amplitudes_analytic, require_finite, require_resolved,
+                       splitting, time_grid)
 from .files import write_csv
 
 ENDPOINT_TOL = 1e-8   # time tolerance of revival endpoint bisection
 EPS_N = 1e-10         # a measure above this counts as non-Markovian
+# largest |Im d| dt the measure accepts: 8 grid samples per period of
+# sigma's sign, whose angular frequency is |Im d| / 2
+RESOLUTION = math.pi / 2
 
 # boundary defaults, in units of gamma
 BOUNDARY_V_SEARCH = (0.05, 1.2)
@@ -47,10 +54,6 @@ BOUNDARY_TOL_V = 1e-3
 # samples of the boundary's revival scan checked before the rest of the
 # grid; revivals above threshold show up early, so most probes stop here
 SCAN_HEAD = 2048
-
-# below |d| t / 4 = SERIES_SWITCH, 1 - e^{-dt/2} keeps too few digits
-# for a sign, and sigma_positive takes the sign of the d t -> 0 limit
-SERIES_SWITCH = 1e-6
 
 
 class UnsupportedInitialState(ValueError):
@@ -72,13 +75,15 @@ def sigma_positive(params: ModelParams, t):
     With x = d t / 4 and chat = cosh x + (g/d) sinh x,
     sigma = -8 V^2 |c0|^2 e^{-gamma t/2} Re(conj(chat) sinh(x) / d).
     Dividing out the positive factors e^{-gamma t/2} and |e^x|^2 / 4
-    leaves, with u = e^{-d t/2},
+    leaves, with u = e^{-d t/2}, s = 1 - u and B = conj(1 - g/d) / d,
 
-        sigma > 0  <=>  Re(conj((1+u) + (g/d)(1-u)) (1-u) / d) < 0.
+        sigma > 0  <=>  f = Re(conj((1+u) + (g/d) s) s / d)
+                          = Re(2 s / d) - Re(B) |s|^2 < 0.
 
-    Re d >= 0 keeps |u| <= 1, so no horizon or decay rate overflows.
-    Where |d| t/4 < SERIES_SWITCH, 1 - u cancels, and there (and
-    everywhere at d = 0) sigma takes the sign of its d t -> 0 limit
+    Re d >= 0 keeps |u| <= 1, so nothing overflows at any horizon.  s
+    is taken in real parts from expm1, sin and cos (-d t/2 = y + 2ih,
+    s = -expm1(y) - 2i e^y sin(h) e^{ih}), so it keeps its digits as
+    d t -> 0.  At d = 0 sigma is its limit
     -2 V^2 |c0|^2 t e^{-gamma t/2} (1 + gamma t/4) <= 0.
     """
     tt = np.asarray(t, dtype=float)
@@ -86,10 +91,43 @@ def sigma_positive(params: ModelParams, t):
     if d == 0 or params.v == 0 or complex(params.c0_init) == 0:
         return np.zeros(tt.shape, dtype=bool)
     g = params.gamma + 2j * params.delta
-    u = np.exp(-0.5 * d * tt)
-    s = 1.0 - u
-    pos = np.real(np.conj((1.0 + u) + (g / d) * s) * s / d) < 0.0
-    return pos & (np.abs(d) * tt / 4.0 >= SERIES_SWITCH)
+    em, h = np.expm1(-0.5 * d.real * tt), -0.25 * d.imag * tt
+    sh = np.sin(h)
+    esh = (2.0 + 2.0 * em) * sh
+    re, im = esh * sh - em, esh * np.cos(h)     # s = re - i im
+    two_d, re_b = 2.0 / d, ((1.0 - g / d).conjugate() / d).real
+    return (two_d.real * re + two_d.imag * im
+            - re_b * (re * re + im * im)) < 0.0
+
+
+def revival_free_after(params: ModelParams) -> float:
+    """Time t* past which sigma_positive is False: no revival starts later.
+
+    With q = g/d, A = conj(1+q)/d, B = conj(1-q)/d, Z = conj(B) - A and
+    r = |u| <= 1, sigma_positive's f = Re A - Re B r^2 + Re(Z u) is at
+    least Re A - K r, K = |Re B| + |Z|, whatever the phase of u.  So
+    f > tau = 1e-9 (|A| + |B|) for t past
+    t* = max(0, 2 ln(K / (Re A - tau)) / Re d) if Re d > 0 and Re A > tau;
+    else t* is infinite.  t* = 0 where sigma_positive is never True
+    (d = 0, V = 0 or c0 = 0).
+
+    tau covers the rounding of both forms.  sigma_positive's f sums terms
+    of at most 4 (|A| + |B|) (|s| <= 2, 2/|d| <= |A| + |B|) from parts of
+    s exact to a few ulps, so it is off by ~50 eps (|A| + |B|).  Rounding
+    A, B, Z and t* moves Re A - K r by ~eps (|A| + |B|) (1 + |ln r|),
+    with |ln r| < 746.  Both stay below tau / 50, eps being 2.2e-16.
+    1e-9 Re A would not do: Re A / (|A| + |B|) ~ gamma / 8V for V >> gamma.
+    """
+    d = splitting(params)
+    if d == 0 or params.v == 0 or complex(params.c0_init) == 0:
+        return 0.0
+    q = (params.gamma + 2j * params.delta) / d
+    a, b = (1.0 + q).conjugate() / d, (1.0 - q).conjugate() / d
+    slack = 1e-9 * (abs(a) + abs(b))
+    if d.real > 0 and a.real > slack:
+        k = abs(b.real) + abs(b.conjugate() - a)
+        return max(0.0, 2.0 * math.log(k / (a.real - slack)) / d.real)
+    return math.inf
 
 
 def mode_gain_values(params: ModelParams, t):
@@ -124,11 +162,15 @@ def nm_measure(params: ModelParams, dt: float = DEFAULT_DT) -> NMResult:
     all endpoints refined together by lock-step bisection; contributions
     telescoped from the closed-form population at the endpoints.
     Windows narrower than dt are below the grid resolution and not
-    counted.
+    counted, and a dt with |Im d| dt >= RESOLUTION, which would miss
+    whole revivals, raises ValueError.
     """
     _require_unit_c0(params)
+    require_resolved(params, dt, RESOLUTION)
     times = time_grid(params.t_max, dt)
-    pos = sigma_positive(params, times)
+    # one scan, through the first sample past t*: no revival starts later
+    stop = np.searchsorted(times, revival_free_after(params), "right")
+    pos = sigma_positive(params, times[:stop + 1])
     # sigma(0) = 0, so crossings alternate rising, falling, ...  All are
     # bisected in lock step, one sign pass over the still-active
     # midpoints per step.
@@ -158,13 +200,12 @@ def nm_measure(params: ModelParams, dt: float = DEFAULT_DT) -> NMResult:
                     t_max=params.t_max, dt=dt)
 
 
-def _has_revival(v, delta, gamma, t_max, dt):
+def _has_revival(v, delta, gamma, t_max, times):
     # grid-sign detector without endpoint refinement; any strictly
     # positive sigma sample counts (infimum semantics for the boundary).
     # The head of the grid is scanned first and the rest only without a
     # revival there: the same any() over the same grid.
     params = ModelParams(v=v, delta=delta, gamma=gamma, t_max=t_max)
-    times = time_grid(t_max, dt)
     return bool(sigma_positive(params, times[:SCAN_HEAD]).any()
                 or sigma_positive(params, times[SCAN_HEAD:]).any())
 
@@ -188,8 +229,9 @@ class BoundaryCurve:
 
 def _boundary_column(args):
     delta, v_lo, v_hi, tol_v, gamma, t_max, dt = args
-    nm_lo = _has_revival(v_lo, delta, gamma, t_max, dt)
-    nm_hi = _has_revival(v_hi, delta, gamma, t_max, dt)
+    times = time_grid(t_max, dt)      # one grid for every probe
+    nm_lo = _has_revival(v_lo, delta, gamma, t_max, times)
+    nm_hi = _has_revival(v_hi, delta, gamma, t_max, times)
     if nm_lo == nm_hi:
         kind = "all_nonmarkovian" if nm_lo else "all_markovian"
         return np.nan, kind
@@ -197,7 +239,7 @@ def _boundary_column(args):
     mid = 0.5 * (lo + hi)
     # the second test ends a tol_v finer than the float spacing at V_c
     while hi - lo > tol_v and lo < mid < hi:
-        if _has_revival(mid, delta, gamma, t_max, dt):
+        if _has_revival(mid, delta, gamma, t_max, times):
             hi = mid
         else:
             lo = mid

@@ -25,13 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (DEFAULT_DT, FluxSeries, ModelParams, amplitude_series,
-                       require_finite)
+                       photon_flux_analytic, require_finite, require_resolved)
 from .files import write_csv
 from .nonmarkov import EPS_N, BoundaryCurve, nm_measure
 
 DEFAULT_MIN_PROMINENCE = 0.1
 NO_SIGNAL_REL = 1e-30       # of signal-scale squared
 SHOULDER_FLOOR = 1e-6       # beyond-valley peak must exceed this x bin-1 power
+# |Im d| dt at which the flux line Omega = |Im d| / 2 reaches the
+# Nyquist frequency pi / dt and folds back
+NYQUIST = 2.0 * np.pi
 
 
 class NoSignal(ValueError):
@@ -91,6 +94,13 @@ def dft(r, dt: float) -> SpectrumResult:
     omega = 2.0 * np.pi * np.fft.rfftfreq(n, dt)
     return SpectrumResult(omega=omega, s_values=s, power=np.abs(s) ** 2,
                           n_samples=n, dt=float(dt), signal_scale=scale)
+
+
+def analytic_spectrum(params: ModelParams, dt: float = DEFAULT_DT) -> SpectrumResult:
+    """DFT of the detrended analytic flux; a dt that aliases the flux
+    line (|Im d| dt >= NYQUIST) raises ValueError."""
+    require_resolved(params, dt, NYQUIST)
+    return dft(detrend(photon_flux_analytic(params, dt)), dt)
 
 
 def coherent_frequency(v: float, delta: float) -> float:
@@ -250,7 +260,9 @@ def classify(params: ModelParams, omega_threshold: float,
     least min_prominence.  flux defaults to the analytic R(t); an
     mcwf-estimate FluxSeries is accepted unchanged.  With ground_truth
     the measure is evaluated to refine undetected points into Markovian
-    vs NonMarkovianUndetectable.
+    vs NonMarkovianUndetectable.  A flux step that aliases the flux line
+    (|Im d| dt >= NYQUIST), or with ground_truth one the measure refuses,
+    raises ValueError.
     """
     require_finite("omega_threshold", omega_threshold, 0)
     require_finite("min_prominence", min_prominence)
@@ -261,6 +273,7 @@ def classify(params: ModelParams, omega_threshold: float,
         # measure faults them in again
         series = amplitude_series(params, dt)
         flux = series.flux(params.gamma)
+    require_resolved(params, flux.dt, NYQUIST)
     note = None
     try:
         spec = dft(detrend(flux), flux.dt)

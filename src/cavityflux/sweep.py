@@ -18,13 +18,13 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
-                       amplitude_series, photon_flux_analytic, require_finite)
+                       amplitude_series, require_finite)
 from .files import write_csv, write_json
 from .nonmarkov import (EPS_N, markovian_boundary, parallel_map,
                         resolve_workers, sign_map)
 from .nonmarkov import nm_measure  # noqa: F401  (perfbench rebinds it here)
-from .spectrum import (DEFAULT_MIN_PROMINENCE, classify, coherent_frequency,
-                       detrend, dft, dominant_peak, threshold_frequency)
+from .spectrum import (DEFAULT_MIN_PROMINENCE, analytic_spectrum, classify,
+                       coherent_frequency, dominant_peak, threshold_frequency)
 from .trajectories import DEFAULT_BIN_WIDTH, estimate_flux, trajectory_seed
 
 FIGURE_IDS = (1, 2, 3, 4)
@@ -89,6 +89,8 @@ class SweepConfig:
             require_finite(name, getattr(self, name), low)
         if self.omega_threshold is not None:
             require_finite("omega_threshold", self.omega_threshold, 0)
+        if self.workers is not None:
+            resolve_workers(self.workers)
         if self.master_seed is not None:
             require_finite("master_seed", self.master_seed, 0)
         elif self.n_traj > 0:
@@ -306,7 +308,7 @@ def figure_datasets(figure_id: int, out_dir) -> list:
         peaks = {}
         for delta, v in FIG4_POINTS:
             params = ModelParams(v=v, delta=delta)
-            spec = dft(detrend(photon_flux_analytic(params, FIG_DT)), FIG_DT)
+            spec = analytic_spectrum(params, FIG_DT)
             path = out / f"spectrum_d{delta:g}_v{v:g}.csv"
             spec.to_csv(path)
             paths.append(path)

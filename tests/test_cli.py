@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cavityflux import cli
-from cavityflux.spectrum import EmptyRegion, NoSignal
+from cavityflux.spectrum import EmptyRegion
 from cavityflux.sweep import SweepConfig, run_sweep
 from cavityflux.trajectories import GridMismatch
 
@@ -308,14 +308,12 @@ def _raises(exc):
 
 
 @pytest.mark.parametrize("exc_type, patched, argv", [
-    (NoSignal, ("dft",),
-     ["spectrum", "--v", "2", "--delta", "2", "--out", "{tmp}/s.csv"]),
     (EmptyRegion, ("markovian_boundary", "threshold_frequency"),
      ["classify", "--v", "2", "--delta", "2", "--auto-threshold"]),
     (GridMismatch, ("flux_residual_stats",),
      ["mcwf", "--v", "1", "--delta", "0", "--n-traj", "20", "--seed", "1",
       "--out", "{tmp}/mc"]),
-], ids=["NoSignal", "EmptyRegion", "GridMismatch"])
+], ids=["EmptyRegion", "GridMismatch"])
 def test_numerical_failure_exits_1(exc_type, patched, argv, tmp_path,
                                    monkeypatch, capsys):
     for name in patched:
@@ -327,7 +325,8 @@ def test_numerical_failure_exits_1(exc_type, patched, argv, tmp_path,
 
 
 def test_plain_value_error_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "dft", _raises(ValueError("bad input")))
+    monkeypatch.setattr(cli, "analytic_spectrum",
+                        _raises(ValueError("bad input")))
     with pytest.raises(SystemExit) as info:
         cli.main(["spectrum", "--v", "2", "--delta", "2", "--out", "-"])
     assert info.value.code == 2

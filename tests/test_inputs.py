@@ -92,6 +92,8 @@ LIBRARY = {
     "dft-dt-nan": ("dt", lambda: dft(np.ones(4), NAN)),
     "dft-dt-negative": ("dt", lambda: dft(np.ones(4), -1.0)),
     "dft-dt-zero": ("dt", lambda: dft(np.ones(4), 0.0)),
+    "sweep-workers-float": ("workers", lambda: SweepConfig(**GRID,
+                                                           workers=2.5)),
 }
 
 # the sweep configs that the CLI rows read, one bad field each; a key
@@ -102,6 +104,7 @@ SWEEP_CONFIGS = {
     "n_traj": {**GRID, "n_traj": 10.5, "master_seed": 1},
     "master_seed-float": {**GRID, "n_traj": 10, "master_seed": 1.5},
     "bin_width": {**GRID, "n_traj": 10, "master_seed": 1, "bin_width": 10.0},
+    "workers": {**GRID, "workers": 2.5},
 }
 
 # each runs in its own interpreter, since a zero or negative tolerance
@@ -130,6 +133,15 @@ COMMAND_LINE = {
                                                "0", "--out", "{tmp}/b.csv"]),
     "classify-boundary-points": ("--boundary-points", [
         "classify", *POINT, "--auto-threshold", "--boundary-points", "0"]),
+    # the resolution rule: dt = 1e-3 misses the measure's revivals at
+    # V = 3141.6 and aliases the flux line at V = 1600 (Nyquist)
+    "measure-unresolved": ("dt", ["measure", "--v", "3141.6", "--delta", "0"]),
+    "dynamics-unresolved": ("dt", ["dynamics", "--v", "3141.6", "--delta",
+                                   "0", "--out", "{tmp}/dyn"]),
+    "spectrum-aliased": ("dt", ["spectrum", "--v", "1600", "--delta", "0",
+                                "--out", "{tmp}/s.csv"]),
+    "classify-aliased": ("dt", ["classify", "--v", "1600", "--delta", "0",
+                                "--omega-threshold", "1"]),
     **{f"sweep-{key}": (key.partition("-")[0],
                         ["sweep", f"{{tmp}}/sweep-{key}.json",
                          "--out", "{tmp}/sw"])

@@ -1,9 +1,13 @@
 """Unit tests for ``cavityflux.nonmarkov``."""
 
+import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from cavityflux import nonmarkov
@@ -12,7 +16,7 @@ from cavityflux.dynamics import (ModelParams, amplitudes_analytic, flux_at,
 from cavityflux.nonmarkov import (
     BOUNDARY_DT,
     BOUNDARY_T_MAX,
-    SERIES_SWITCH,
+    RESOLUTION,
     BoundaryCurve,
     UnsupportedInitialState,
     markovian_boundary,
@@ -20,6 +24,7 @@ from cavityflux.nonmarkov import (
     nm_measure,
     parallel_map,
     resolve_workers,
+    revival_free_after,
     sigma_positive,
     sigma_values,
     sign_map,
@@ -150,6 +155,26 @@ def test_measure_revivals_outlive_the_envelope():
     assert result.n_value == 0.02730571763467504
 
 
+def test_measure_refuses_an_unresolved_grid():
+    # at dt = 1e-3 the grid misses every revival here: N came out 0, where
+    # dt = 1e-6 gives 1997.68; the rule refuses and names the largest dt
+    params = ModelParams(v=3141.6, delta=0.0)
+    largest = RESOLUTION / abs(splitting(params).imag)
+    with pytest.raises(ValueError, match=f"^dt must be < {largest:.6g} "):
+        nm_measure(params)
+    assert nm_measure(dataclasses.replace(params, t_max=0.01),
+                      0.999 * largest).n_value > 0.0
+
+
+def test_measure_inside_the_resolution_bound_matches_a_finer_grid():
+    # |Im d| dt = 1.56, just inside the bound, against dt / 100
+    params = ModelParams(v=390.0, delta=0.0, t_max=1.0)
+    assert abs(splitting(params).imag) * 1e-3 < RESOLUTION
+    coarse, fine = nm_measure(params, 1e-3), nm_measure(params, 1e-5)
+    assert coarse.n_value == pytest.approx(fine.n_value, rel=1e-11)
+    assert len(coarse.revival_intervals) == len(fine.revival_intervals)
+
+
 def test_is_nonmarkovian_threshold():
     def nonmarkovian(params):
         return nm_measure(params).n_value > 1e-10
@@ -177,7 +202,8 @@ def _boundary_grid():
     (0.53, 1.0, _boundary_grid(), "complex"),
     (0.6, 1.0, _boundary_grid(), "complex"),
     (1.5, -1.7, _boundary_grid(), "complex"),
-    # samples below |d| t/4 = SERIES_SWITCH come first, then the full grid
+    # samples below |d| t/4 = 1e-6, where 1 - u keeps its digits only
+    # through expm1, come first, then the full grid
     (1.0, 0.5, np.concatenate([np.linspace(0.0, 4e-6, 41),
                                time_grid(20.0, 1e-3)[1:]]), "series"),
 ])
@@ -194,8 +220,17 @@ def test_sigma_positive_matches_sigma_values(v, delta, times, kind):
         assert pos.any()
         assert (d.real == 0) == (kind == "imaginary")
     if kind == "series":
-        series = np.abs(d) * times / 4.0 < SERIES_SWITCH
+        series = np.abs(d) * times / 4.0 < 1e-6
         assert 1 < series.sum() < times.size
+
+
+def test_sigma_positive_keeps_its_sign_as_t_vanishes():
+    # sigma ~ -2 V^2 t < 0 as t -> 0, where 1 - u must keep its digits
+    times = np.logspace(-18, -6, 49)
+    for v, delta in [(1.0, 0.5), (0.25 * (1.0 + 1e-9), 0.0), (3.0, -2.0)]:
+        params = ModelParams(v=v, delta=delta)
+        assert (sigma_values(params, times) < 0.0).all()
+        assert not sigma_positive(params, times).any()
 
 
 def test_sigma_positive_is_false_without_coupling():
@@ -205,7 +240,7 @@ def test_sigma_positive_is_false_without_coupling():
                               times).any()
 
 
-def test_revival_scan_covers_the_grid_once(monkeypatch):
+def _record_scans(monkeypatch):
     scanned = []
 
     def recording(params, t):
@@ -213,15 +248,76 @@ def test_revival_scan_covers_the_grid_once(monkeypatch):
         return sigma_positive(params, t)
 
     monkeypatch.setattr(nonmarkov, "sigma_positive", recording)
+    return scanned
+
+
+def test_revival_scan_covers_the_grid_once(monkeypatch):
+    scanned = _record_scans(monkeypatch)
     # no revival: the head, then the rest, each sample exactly once
     assert not nonmarkov._has_revival(0.2, 0.0, 1.0, BOUNDARY_T_MAX,
-                                      BOUNDARY_DT)
+                                      _boundary_grid())
     assert scanned[0].size == nonmarkov.SCAN_HEAD
     assert_array_equal(np.concatenate(scanned), _boundary_grid())
     # an early revival is decided by the head alone
     scanned.clear()
-    assert nonmarkov._has_revival(1.0, 0.0, 1.0, BOUNDARY_T_MAX, BOUNDARY_DT)
+    assert nonmarkov._has_revival(1.0, 0.0, 1.0, BOUNDARY_T_MAX,
+                                  _boundary_grid())
     assert len(scanned) == 1
+
+
+def test_measure_scans_through_the_first_sample_past_t_star(monkeypatch):
+    scanned = _record_scans(monkeypatch)
+    # d = 0.6 real: t* = 2 ln(3/2) / 0.6, well inside the horizon
+    params = ModelParams(v=0.2, delta=0.0)
+    t_star = revival_free_after(params)
+    assert t_star == pytest.approx(2.0 * math.log(1.5) / 0.6, rel=1e-8)
+    assert nm_measure(params).revival_intervals == []
+    times = time_grid(params.t_max, 1e-3)
+    (grid,) = scanned
+    assert grid[-2] <= t_star < grid[-1]
+    assert_array_equal(grid, times[:grid.size])
+    # revivals before t* = 11.3: one bounded scan, then one midpoint per
+    # endpoint in each bisection step
+    scanned.clear()
+    params = ModelParams(v=2.0, delta=2.0)
+    t_star = revival_free_after(params)
+    assert len(nm_measure(params).revival_intervals) == 8
+    assert scanned[0][-2] <= t_star < scanned[0][-1]
+    assert all(grid.size <= 16 for grid in scanned[1:])
+    # d imaginary: t* is infinite, and the scan covers the whole grid
+    scanned.clear()
+    params = ModelParams(v=1.0, delta=0.0)
+    assert revival_free_after(params) == math.inf
+    nm_measure(params)
+    assert_array_equal(scanned[0], times)
+    # no coupling: t* = 0, and the scan ends at the first sample
+    scanned.clear()
+    params = ModelParams(v=0.0, delta=0.3)
+    assert revival_free_after(params) == 0.0
+    nm_measure(params)
+    assert_array_equal(scanned[0], times[:2])
+
+
+# (V, delta) in units of gamma: the whole drawn range, and a strip up
+# to d = 0 (V = gamma/4 on resonance) that holds d = 0 itself
+SCAN_POINTS = st.one_of(
+    st.tuples(st.floats(0.0, 5.0), st.floats(-5.0, 5.0)),
+    st.tuples(st.floats(-1e-2, 1e-2).map(lambda eps: 0.25 * (1.0 + eps)),
+              st.floats(-1e-6, 1e-6)))
+
+
+@settings(max_examples=200)
+@given(point=SCAN_POINTS, gamma=st.floats(0.1, 10.0))
+def test_no_revival_past_t_star(point, gamma):
+    v, delta = point[0] * gamma, point[1] * gamma
+    params = ModelParams(v=v, delta=delta, gamma=gamma)
+    t_star = revival_free_after(params)
+    assert t_star >= 0.0
+    if t_star == math.inf:
+        return
+    times = t_star + np.linspace(0.0, 400.0 / gamma, 4001)
+    times[0] = math.nextafter(t_star, math.inf)
+    assert not sigma_positive(params, times).any()
 
 
 def test_boundary_matches_full_grid_bisection():

@@ -9,13 +9,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 from cavityflux import dynamics, nonmarkov
 from cavityflux.dynamics import (DEFAULT_DT, FluxSeries, ModelParams,
                                  amplitudes_analytic, photon_flux_analytic,
-                                 time_grid)
+                                 splitting, time_grid)
 from cavityflux.nonmarkov import markovian_boundary, nm_measure
 from cavityflux.spectrum import (
+    NYQUIST,
     SHOULDER_FLOOR,
     EmptyRegion,
     NoSignal,
     SpectrumResult,
+    analytic_spectrum,
     classify,
     coherent_frequency,
     detrend,
@@ -179,6 +181,20 @@ def test_strong_point_peak_near_coherent_frequency():
     spec = _flux_spectrum(2.0, 2.0)
     peak = dominant_peak(spec)
     assert abs(peak.omega_peak - np.sqrt(20.0)) <= spec.bin_width
+
+
+def test_spectrum_refuses_an_aliased_line():
+    # Omega = 3200 lies past the Nyquist frequency pi / dt = 3141.6 at
+    # dt = 1e-3, and the folded line showed up at omega_peak = 3083
+    params = ModelParams(v=1600.0, delta=0.0)
+    largest = NYQUIST / abs(splitting(params).imag)
+    for call in (lambda: analytic_spectrum(params),
+                 lambda: classify(params, 1.0)):
+        with pytest.raises(ValueError, match=f"^dt must be < {largest:.6g} "):
+            call()
+    # below Nyquist the line sits at Omega = 3000
+    peak = dominant_peak(analytic_spectrum(ModelParams(v=1500.0, delta=0.0)))
+    assert peak.omega_peak == pytest.approx(3000.0, abs=0.5)
 
 
 def test_peak_tracks_coherent_frequency():

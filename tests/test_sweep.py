@@ -163,6 +163,19 @@ def test_error_isolation(tmp_path):
     assert row[6] == "Error(ValueError)"
 
 
+@pytest.mark.parametrize("v_min, v_max", [
+    # dt = 1e-3 aliases the flux line at V = 1600 and V = 3141.6
+    (1600.0, 3141.6),
+    # at V = 400 it resolves the line but not the measure's revivals
+    (400.0, 450.0),
+])
+def test_unresolved_cells_record_the_error(v_min, v_max):
+    region = run_sweep(_config(v_min=v_min, v_max=v_max, v_count=2,
+                               delta_min=0.0, delta_max=0.0, delta_count=1))
+    assert [c["verdict"] for c in region.cells] == ["Error(ValueError)"] * 2
+    assert all(msg.startswith("dt must be < ") for _, _, msg in region.errors)
+
+
 def test_cell_seed_index_is_delta_major():
     # cell (delta_j, v_i) samples from seed index j * v_count + i; on a
     # non-square grid the transposed index i * delta_count + j differs
