@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
+from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams, Unresolved,
                        amplitude_series, require_finite)
 from .files import write_csv
 from .nonmarkov import (BOUNDARY_DT, BOUNDARY_T_MAX, BOUNDARY_TOL_V,
@@ -333,6 +333,11 @@ def main(argv=None) -> int:
     except (EmptyRegion, GridMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)    # numerical failure
         return 1
+    except Unresolved as exc:        # restated in the units of the flags
+        v, delta, largest, dt, _ = exc.args
+        g = args.gamma
+        parser.error(str(Unresolved(v / g, delta / g, largest * g, dt * g,
+                                    "--dt")))
     except (ValueError, OSError) as exc:
         parser.error(str(exc))       # prints usage, exits 2
     except Exception as exc:         # numerical failure

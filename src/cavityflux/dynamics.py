@@ -49,16 +49,25 @@ def require_finite(name: str, value, low=None, strict: bool = False):
     raise ValueError(f"{name} must be finite{bound}, got {value}")
 
 
+class Unresolved(ValueError):
+    """The resolution rule's refusal; its args (V, delta, largest dt, dt,
+    name of dt) let a caller that works in units of gamma restate it."""
+
+    def __str__(self):
+        v, delta, largest, dt, name = self.args
+        return (f"{name} must be < {largest:g} to resolve the oscillation "
+                f"at V = {v:g}, delta = {delta:g}, got {dt:g}")
+
+
 def require_resolved(params: ModelParams, dt: float, limit: float):
     """The resolution rule: dt, if |Im d| dt < limit, so the grid
     resolves the amplitudes' oscillation at angular frequency |Im d| / 2;
-    otherwise a ValueError that names dt and the largest dt allowed."""
+    otherwise Unresolved, a ValueError that names dt and the largest dt
+    allowed."""
     rate = abs(splitting(params).imag)
     if rate * dt < limit:
         return dt
-    raise ValueError(f"dt must be < {limit / rate:.6g} to resolve the "
-                     f"oscillation at V = {params.v}, delta = "
-                     f"{params.delta}, got {dt}")
+    raise Unresolved(params.v, params.delta, limit / rate, dt, "dt")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 The detrended flux r(t) = R(t) - mean(R) is transformed by a plain DFT
 (S_k = sum_m r_m e^{-2 pi i m k / N}, angular bins omega_k = 2 pi k /
 (N dt)), and the dominant oscillation line is located with sub-bin
-parabolic interpolation.
+parabolic interpolation.  The analytic flux is a sum of four
+exponentials, so analytic_spectrum sums its DFT's geometric series in
+closed form, with no samples and no FFT; dft serves sampled fluxes.
 
 The decaying envelope of R(t) contributes a non-oscillatory low-pass
 shoulder that always dominates the first bins.  The peak search walks
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (DEFAULT_DT, FluxSeries, ModelParams, amplitude_series,
-                       photon_flux_analytic, require_finite, require_resolved)
+from .dynamics import (DEFAULT_DT, FluxSeries, ModelParams, require_finite,
+                       require_resolved, splitting, time_grid)
 from .files import write_csv
 from .nonmarkov import EPS_N, BoundaryCurve, nm_measure
 
@@ -96,11 +98,57 @@ def dft(r, dt: float) -> SpectrumResult:
                           n_samples=n, dt=float(dt), signal_scale=scale)
 
 
+def _shape_dft(params: ModelParams, n: int, dt: float) -> np.ndarray:
+    """Bins 1 .. n//2 of the n-point DFT of f(t) = e^{-gamma t/2} (cosh(xt)
+    - cos(yt)) / (x^2 + y^2), x + iy = w = d/2, in closed form.
+
+    With p = e^{-gamma dt/2 - 2 pi i k/n}, T = n dt and C = cosh(sqrt(s) t),
+    the DFT of e^{-gamma t/2} C is the geometric sum h = num / den, num =
+    1 - p C(dt) - p^n C(T) + p^{n+1} C(T - dt), den = 1 + p^2 - 2 p C(dt).
+    f's DFT is h's divided difference at s = x^2, -y^2, (num[.] - h(-y^2)
+    den[.]) / den(x^2), where each C[.] is e^{gamma t/2} f(t): nothing is
+    divided by |w|^2, so the form holds through d = 0.
+    """
+    gamma, w, t_end = params.gamma, splitting(params) / 2.0, n * dt
+
+    def f(t):   # from expm1(u) / u, u = -w t: no digit is lost as w -> 0
+        u = -w * t
+        rel = np.expm1(u) / u if u else 1.0
+        return t * t / 2.0 * abs(np.exp((w - gamma / 2.0) * t / 2.0)
+                                 * rel) ** 2
+
+    one_minus_rot = -np.expm1(-2j * np.pi * np.arange(1, n // 2 + 1) / n)
+    rot = 1.0 - one_minus_rot
+
+    def one_minus_p(lam):             # 1 - p e^{lam dt}, with its digits
+        log_c = (lam - gamma / 2.0) * dt
+        return -np.expm1(log_c) + np.exp(log_c) * one_minus_rot
+
+    def geometric(lam):               # sum of p^m e^{lam m dt}, m < n
+        return -np.expm1((lam - gamma / 2.0) * t_end) / one_minus_p(lam)
+
+    num_xy = rot * (np.exp(-gamma * dt) * f(t_end - dt) - f(dt)) - f(t_end)
+    cos_sum = geometric(1j * w.imag) + geometric(-1j * w.imag)  # 2 h(-y^2)
+    return ((num_xy + rot * f(dt) * cos_sum)
+            / (one_minus_p(w.real) * one_minus_p(-w.real)))
+
+
 def analytic_spectrum(params: ModelParams, dt: float = DEFAULT_DT) -> SpectrumResult:
-    """DFT of the detrended analytic flux; a dt that aliases the flux
-    line (|Im d| dt >= NYQUIST) raises ValueError."""
+    """Closed-form DFT of the detrended analytic flux R = 2 gamma V^2 |c0|^2
+    f (f of _shape_dft) on time_grid's samples: S_0 = 0, and S = 0 when
+    gamma V c0 = 0.  signal_scale is an upper bound on R.  A dt that
+    aliases the flux line (|Im d| dt >= NYQUIST) raises ValueError."""
+    n = time_grid(params.t_max, dt).size
     require_resolved(params, dt, NYQUIST)
-    return dft(detrend(photon_flux_analytic(params, dt)), dt)
+    gamma, c2 = params.gamma, abs(complex(params.c0_init)) ** 2
+    # R = gamma |b|^2 <= gamma c2, and |b| <= 2 V |c0| / gamma
+    scale = c2 * min(gamma, 4.0 * params.v ** 2 / gamma) if gamma else 0.0
+    s = np.zeros(n // 2 + 1, dtype=complex)
+    if scale:
+        s[1:] = 2.0 * gamma * c2 * params.v ** 2 * _shape_dft(params, n, dt)
+    return SpectrumResult(omega=2.0 * np.pi * np.fft.rfftfreq(n, dt),
+                          s_values=s, power=np.abs(s) ** 2, n_samples=n,
+                          dt=float(dt), signal_scale=scale)
 
 
 def coherent_frequency(v: float, delta: float) -> float:
@@ -257,8 +305,9 @@ def classify(params: ModelParams, omega_threshold: float,
     """Spectral non-Markovianity verdict for one parameter point.
 
     Detection requires the dominant line above omega_threshold with at
-    least min_prominence.  flux defaults to the analytic R(t); an
-    mcwf-estimate FluxSeries is accepted unchanged.  With ground_truth
+    least min_prominence.  flux defaults to the analytic R(t), whose
+    spectrum is analytic_spectrum's closed form; an mcwf-estimate
+    FluxSeries goes through dft unchanged.  With ground_truth
     the measure is evaluated to refine undetected points into Markovian
     vs NonMarkovianUndetectable.  A flux step that aliases the flux line
     (|Im d| dt >= NYQUIST), or with ground_truth one the measure refuses,
@@ -268,15 +317,12 @@ def classify(params: ModelParams, omega_threshold: float,
     require_finite("min_prominence", min_prominence)
     require_finite("eps_n", eps_n)
     if flux is None:
-        # bound to a name, so the amplitudes live until the measure has
-        # run: freed earlier, their pages go back to the system and the
-        # measure faults them in again
-        series = amplitude_series(params, dt)
-        flux = series.flux(params.gamma)
-    require_resolved(params, flux.dt, NYQUIST)
+        spec = analytic_spectrum(params, dt)
+    else:
+        require_resolved(params, flux.dt, NYQUIST)
+        spec = dft(detrend(flux), flux.dt)
     note = None
     try:
-        spec = dft(detrend(flux), flux.dt)
         peak = dominant_peak(spec)
         omega_peak: float | None = peak.omega_peak
         prominence = peak.prominence

@@ -230,6 +230,23 @@ def test_spectrum_cli_no_signal(tmp_path):
                               "--out", str(out))
     assert code == 0
     assert "no signal" in stdout
+    data = np.genfromtxt(out, delimiter=",", names=True)
+    assert not data["power"].any()
+
+
+@pytest.mark.parametrize("argv, largest", [
+    (["measure", "--v", "3141.6"], "0.000125"),
+    (["spectrum", "--v", "1600", "--out", "{tmp}/s.csv"], "0.000981748"),
+], ids=["measure", "spectrum"])
+def test_unresolved_dt_is_named_in_flag_units(argv, largest, tmp_path):
+    # --v and --dt are in units of gamma and 1/gamma, and so is the bound
+    # on dt that the refusal names; in absolute units it is 10x smaller
+    code, _, err = run_cli(*(a.format(tmp=tmp_path) for a in argv),
+                           "--delta", "0", "--gamma", "10")
+    assert code == 2
+    assert (f"--dt must be < {largest} to resolve the oscillation at "
+            f"V = {argv[2]}, delta = 0, got 0.001") in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_classify_cli():

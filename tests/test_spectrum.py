@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from cavityflux import dynamics, nonmarkov
-from cavityflux.dynamics import (DEFAULT_DT, FluxSeries, ModelParams,
-                                 amplitudes_analytic, photon_flux_analytic,
-                                 splitting, time_grid)
+from cavityflux.dynamics import (DEFAULT_DT, DEFAULT_T_MAX, FluxSeries,
+                                 ModelParams, amplitudes_analytic,
+                                 photon_flux_analytic, splitting, time_grid)
 from cavityflux.nonmarkov import markovian_boundary, nm_measure
 from cavityflux.spectrum import (
     NYQUIST,
@@ -168,10 +168,18 @@ def test_white_noise_has_no_prominent_line():
     assert peak.prominence < 0.05
 
 
-@pytest.mark.parametrize("point,expected", sorted(SHOWCASE.items()))
-def test_flux_peaks_frozen(point, expected):
+# ids: point<i>-expected<i> on the grid + rfft path, and
+# closed-form-point<i>-expected<i> on analytic_spectrum
+@pytest.mark.parametrize("spectrum,point,expected", [
+    pytest.param(spectrum, point, expected, id=f"{prefix}point{i}-expected{i}")
+    for prefix, spectrum in (
+        ("", _flux_spectrum),
+        ("closed-form-",
+         lambda v, delta: analytic_spectrum(ModelParams(v=v, delta=delta))))
+    for i, (point, expected) in enumerate(sorted(SHOWCASE.items()))])
+def test_flux_peaks_frozen(spectrum, point, expected):
     delta, v = point
-    peak = dominant_peak(_flux_spectrum(v, delta))
+    peak = dominant_peak(spectrum(v, delta))
     omega_ref, prom_ref = expected
     assert peak.omega_peak == pytest.approx(omega_ref, rel=1e-9)
     assert peak.prominence == pytest.approx(prom_ref, rel=1e-9)
@@ -181,6 +189,34 @@ def test_strong_point_peak_near_coherent_frequency():
     spec = _flux_spectrum(2.0, 2.0)
     peak = dominant_peak(spec)
     assert abs(peak.omega_peak - np.sqrt(20.0)) <= spec.bin_width
+
+
+# (V, delta) in units of gamma: the whole drawn range, and a strip from
+# 1e-9 to 1e-2 relative of d = 0 (V = gamma/4 on resonance)
+SPECTRUM_POINTS = st.one_of(
+    st.tuples(st.floats(0.01, 5.0), st.floats(-5.0, 5.0)),
+    st.tuples(st.tuples(st.floats(1e-9, 1e-2), st.sampled_from((-1.0, 1.0)))
+              .map(lambda e: 0.25 * (1.0 + e[0] * e[1])),
+              st.floats(-1e-6, 1e-6)))
+
+
+@settings(max_examples=100)
+@example(point=(0.25, 0.0), gamma=1.0)      # d = 0
+@given(point=SPECTRUM_POINTS, gamma=st.floats(0.1, 10.0))
+def test_closed_form_matches_the_grid_transform(point, gamma):
+    params = ModelParams(v=point[0] * gamma, delta=point[1] * gamma,
+                         gamma=gamma, t_max=DEFAULT_T_MAX / gamma)
+    dt = DEFAULT_DT / gamma
+    closed = analytic_spectrum(params, dt)
+    grid = dft(detrend(photon_flux_analytic(params, dt)), dt)
+    assert_array_equal(closed.omega, grid.omega)
+    assert closed.n_samples == grid.n_samples
+    assert (np.max(np.abs(closed.power - grid.power))
+            <= 1e-11 * np.max(grid.power))
+    got, ref = dominant_peak(closed), dominant_peak(grid)
+    assert (got.k_peak, got.k_valley) == (ref.k_peak, ref.k_valley)
+    assert got.omega_peak == pytest.approx(ref.omega_peak, rel=1e-11)
+    assert got.prominence == pytest.approx(ref.prominence, rel=1e-11)
 
 
 def test_spectrum_refuses_an_aliased_line():
@@ -342,8 +378,8 @@ def test_classify_accepts_estimated_flux():
     assert verdict.label == "NonMarkovianDetected"
 
 
-def test_classify_evaluates_the_grid_once(monkeypatch):
-    # the analytic flux is the one kernel pass on the grid; the measure
+def test_classify_makes_no_full_grid_kernel_pass(monkeypatch):
+    # the analytic flux's spectrum is in closed form, and the measure
     # scans the sign of sigma and evaluates only revival endpoints
     params = ModelParams(v=1.0, delta=0.5)
     grid = time_grid(params.t_max, DEFAULT_DT)
@@ -357,8 +393,32 @@ def test_classify_evaluates_the_grid_once(monkeypatch):
     for mod in (dynamics, nonmarkov):
         monkeypatch.setattr(mod, "amplitudes_analytic", counting)
     verdict = classify(params, OMEGA_M, ground_truth=True)
-    assert len(full_grid_calls) == 1
+    assert len(full_grid_calls) == 0
     assert verdict.n_value == nm_measure(params).n_value > 0.0
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(v=0.0, delta=0.3),
+    ModelParams(v=1.0, delta=0.0, c0_init=0.0),
+    ModelParams(v=1.0, delta=0.0, gamma=0.0),
+], ids=["v", "c0", "gamma"])
+def test_zero_flux_has_a_zero_spectrum(params):
+    # gamma V c0 = 0 is a flux that is zero throughout, decided exactly
+    assert not analytic_spectrum(params).power.any()
+    verdict = classify(params, OMEGA_M)
+    assert verdict.label == "MarkovianConsistent"
+    assert verdict.note == "zero flux"
+    assert verdict.omega_peak is None
+
+
+def test_weak_flux_is_not_zero_flux():
+    # R <= 4 V^2 |c0|^2 / gamma bounds the signal scale at weak coupling,
+    # so a flux of order 1e-18 keeps its line, as on the sampled grid
+    for v in (1e-6, 1e-9):
+        verdict = classify(ModelParams(v=v, delta=0.0), OMEGA_M)
+        assert verdict.note is None
+        grid = dominant_peak(_flux_spectrum(v, 0.0))
+        assert verdict.omega_peak == pytest.approx(grid.omega_peak, rel=1e-9)
 
 
 def test_verdict_serialization():

@@ -172,7 +172,8 @@ def test_error_isolation(tmp_path):
 def test_unresolved_cells_record_the_error(v_min, v_max):
     region = run_sweep(_config(v_min=v_min, v_max=v_max, v_count=2,
                                delta_min=0.0, delta_max=0.0, delta_count=1))
-    assert [c["verdict"] for c in region.cells] == ["Error(ValueError)"] * 2
+    # Unresolved is the resolution rule's ValueError
+    assert [c["verdict"] for c in region.cells] == ["Error(Unresolved)"] * 2
     assert all(msg.startswith("dt must be < ") for _, _, msg in region.errors)
 
 
