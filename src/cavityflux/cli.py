@@ -8,10 +8,10 @@ multiplies the frequencies by gamma and divides the times by gamma
 once, so every command reads absolute values.
 
 Exit codes: 0 success, 1 numerical/detection failure (EmptyRegion,
-GridMismatch, failed sweep cells, --strict), 2 usage error.  A flux
-with no signal is a result, not a failure: spectrum prints "no signal"
-and classify reports the note "zero flux", both with exit 0, unless
-classify --strict turns that note into exit 1.
+failed sweep cells, --strict), 2 usage error.  A flux with no signal is
+a result, not a failure: spectrum prints "no signal" and classify
+reports the note "zero flux", both with exit 0, unless classify
+--strict turns that note into exit 1.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .spectrum import (DEFAULT_MIN_PROMINENCE, EmptyRegion, NoSignal,
                        analytic_spectrum, classify, dominant_peak,
                        threshold_frequency)
 from .sweep import SweepConfig, figure_datasets, run_sweep
-from .trajectories import (DEFAULT_BIN_WIDTH, GridMismatch,
-                           analytic_flux_at_bins, estimate_flux,
-                           flux_residual_stats, sample_jump_times)
+from .trajectories import (DEFAULT_BIN_WIDTH, analytic_flux_at_bins,
+                           estimate_flux, flux_residual_stats,
+                           sample_jump_times)
 
 # flags in units of gamma: frequencies scale with gamma, times with 1/gamma
 FREQUENCIES = ("v", "delta", "v_lo", "v_hi", "tol", "omega_threshold")
@@ -43,8 +43,11 @@ TIMES = ("t_max", "dt", "bin")
 
 
 # the lower bound of each bounded number flag, and whether it is strict
-BOUNDS = {"gamma": (0, True), "dt": (0, True), "delta_count": (1, False),
-          "boundary_points": (1, False), "n_traj": (1, False)}
+BOUNDS = {"gamma": (0, True), "v": (0, False), "t_max": (0, True),
+          "dt": (0, True), "bin": (0, True), "seed": (0, False),
+          "tol": (0, True), "v_lo": (0, False), "delta_count": (1, False),
+          "omega_threshold": (0, False), "boundary_points": (1, False),
+          "n_traj": (1, False)}
 
 
 def _load_config(path) -> dict:
@@ -61,8 +64,8 @@ def parse_args(parser, argv=None) -> argparse.Namespace:
     Config values become the subcommand's defaults as strings, so the
     second parse types them as it types flags; other keys are ignored,
     and a null value counts as not given.  Every float flag must be
-    finite and each flag in BOUNDS past its lower bound, or it is a
-    usage error.
+    finite and each flag in BOUNDS that is given past its lower bound,
+    or it is a usage error.
     """
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
@@ -76,7 +79,7 @@ def parse_args(parser, argv=None) -> argparse.Namespace:
         if hasattr(args, key) and getattr(args, key) is None:
             raise ValueError(f"missing required --{key}")
     for key, value in vars(args).items():
-        if isinstance(value, float) or key in BOUNDS:
+        if isinstance(value, float) or (key in BOUNDS and value is not None):
             require_finite(f"--{key.replace('_', '-')}", value,
                            *BOUNDS.get(key, ()))
     if hasattr(args, "gamma"):
@@ -202,10 +205,7 @@ def cmd_spectrum(args) -> int:
 def cmd_classify(args) -> int:
     params = _params(args)
     omega_threshold = args.omega_threshold
-    if omega_threshold is None:
-        if not args.auto_threshold:
-            raise ValueError(
-                "either --omega-threshold or --auto-threshold required")
+    if omega_threshold is None:        # the boundary's threshold
         deltas = np.linspace(0.0, 2.0 * args.gamma, args.boundary_points)
         boundary = markovian_boundary(deltas, gamma=args.gamma)
         omega_threshold = threshold_frequency(boundary).omega_m
@@ -300,11 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("classify", help="spectral verdict for one point")
     _add_param_flags(p)
     p.add_argument("--omega-threshold", type=float,
-                   help="threshold frequency (units of gamma)")
-    p.add_argument("--auto-threshold", action="store_true",
-                   help="compute the threshold from the boundary")
+                   help="threshold frequency (units of gamma; default: "
+                        "computed from the boundary)")
     p.add_argument("--boundary-points", type=int, default=41,
-                   help="detunings for --auto-threshold (default 41)")
+                   help="detunings of that boundary (default 41)")
     p.add_argument("--min-prominence", type=float,
                    default=DEFAULT_MIN_PROMINENCE)
     p.add_argument("--ground-truth", action="store_true",
@@ -330,7 +329,7 @@ def main(argv=None) -> int:
     try:
         args = parse_args(parser, argv)
         return args.func(args)
-    except (EmptyRegion, GridMismatch) as exc:
+    except EmptyRegion as exc:
         print(f"error: {exc}", file=sys.stderr)    # numerical failure
         return 1
     except Unresolved as exc:        # restated in the units of the flags

@@ -159,31 +159,30 @@ def nm_measure(params: ModelParams, dt: float = DEFAULT_DT) -> NMResult:
     """Non-Markovianity measure over [0, params.t_max].
 
     Revival windows found by the strict sign of sigma on the grid, then
-    all endpoints refined together by lock-step bisection; contributions
-    telescoped from the closed-form population at the endpoints.
+    all endpoints refined together by one count of bisection steps, the
+    same at any scale; contributions telescoped from the closed-form
+    population at the endpoints.
     Windows narrower than dt are below the grid resolution and not
     counted, and a dt with |Im d| dt >= RESOLUTION, which would miss
     whole revivals, raises ValueError.
     """
     _require_unit_c0(params)
-    require_resolved(params, dt, RESOLUTION)
     times = time_grid(params.t_max, dt)
+    require_resolved(params, dt, RESOLUTION)
     # one scan, through the first sample past t*: no revival starts later
     stop = np.searchsorted(times, revival_free_after(params), "right")
     pos = sigma_positive(params, times[:stop + 1])
-    # sigma(0) = 0, so crossings alternate rising, falling, ...  All are
-    # bisected in lock step, one sign pass over the still-active
-    # midpoints per step.
+    # sigma(0) = 0, so crossings alternate rising, falling, ...  Every
+    # bracket is one step wide: the halvings that take dt to ENDPOINT_TOL,
+    # one sign pass each, refine all; past float spacing one is a no-op.
     edges = np.flatnonzero(pos[1:] != pos[:-1])
     lo, hi = times[edges], times[edges + 1]
     rising = pos[edges + 1]
-    active = np.flatnonzero(hi - lo > ENDPOINT_TOL)
-    while active.size:
-        mid = 0.5 * (lo[active] + hi[active])
-        up = sigma_positive(params, mid) == rising[active]
-        hi[active[up]] = mid[up]
-        lo[active[~up]] = mid[~up]
-        active = active[hi[active] - lo[active] > ENDPOINT_TOL]
+    halvings = math.ceil(math.log2(dt) - math.log2(ENDPOINT_TOL))
+    for _ in range(halvings if edges.size else 0):
+        mid = 0.5 * (lo + hi)
+        up = sigma_positive(params, mid) == rising
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
     ends = (0.5 * (lo + hi)).tolist()
     if len(ends) % 2:
         # revival still running at the horizon: truncate at t_max
@@ -306,8 +305,9 @@ def markovian_boundary(delta_values, v_search=None,
     for name, value in (("tol_v", tol_v), ("t_max", t_max), ("dt", dt)):
         require_finite(name, value, 0, strict=True)
     deltas = np.asarray(delta_values, dtype=float)
-    if deltas.size == 0 or not np.isfinite(deltas).all():
-        raise ValueError(f"deltas must be non-empty and finite, got {deltas}")
+    if deltas.ndim != 1 or deltas.size == 0 or not np.isfinite(deltas).all():
+        raise ValueError(
+            f"deltas must be a non-empty, finite 1-D array, got {deltas}")
     tasks = [(d, v_lo, v_hi, tol_v, gamma, t_max, dt) for d in deltas]
 
     results = parallel_map(_boundary_column, tasks,

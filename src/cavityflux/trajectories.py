@@ -13,7 +13,7 @@ the unique t* with N^2(t*) = u, no jump if N^2(T) > u.  This removes
 the time-step bias of per-step Bernoulli sampling.  t* is found by
 safeguarded Newton steps inside its bracket on the survival grid; the
 derivative dN^2/dt = -gamma |b|^2 comes from the same kernel pass as
-N^2, and two or three passes reach JUMP_TOL.
+N^2, and two or three passes reach JUMP_TOL / gamma.
 
 Per-trajectory generators are Philox streams keyed by (master_seed,
 trajectory index), so records are reproducible regardless of execution
@@ -41,8 +41,9 @@ from .dynamics import (DEFAULT_DT, FluxSeries, ModelParams,
                        time_grid)
 from .files import write_csv, write_json
 
-# jump-time tolerance: a draw's Newton iteration stops once its step or
-# its bracket is below it; MAX_JUMP_STEPS bounds the passes
+# jump-time tolerance in units of 1/gamma: a draw's Newton iteration
+# stops once its step or its bracket is below JUMP_TOL / gamma;
+# MAX_JUMP_STEPS bounds the passes
 JUMP_TOL = 1e-10
 MAX_JUMP_STEPS = 100
 # trajectories drawn and inverted together by sample_jump_times
@@ -220,12 +221,13 @@ def _invert_survival(params, times, n2, us):
     left end where f >= 0, else as its right end, so ties break toward
     earlier time.  A Newton step t - f/f' that is not finite or leaves
     the bracket is replaced by the bracket midpoint.  A draw stops once
-    its step or its bracket is below JUMP_TOL; two or three steps
-    suffice away from flux zeros.
+    its step or its bracket is below JUMP_TOL / gamma, so the passes do
+    not depend on the scale; two or three steps suffice away from flux
+    zeros.
     sample_jump_times calls this once per block of JUMP_BLOCK draws.
     """
     jump_times = np.full(us.shape, np.nan)
-    if params.v == 0 or abs(complex(params.c0_init)) == 0:
+    if params.v == 0 or params.gamma == 0 or abs(complex(params.c0_init)) == 0:
         return jump_times          # zero flux: no trajectory ever jumps
     n2_end = n2[-1]
     if n2_end >= 1.0:
@@ -243,6 +245,7 @@ def _invert_survival(params, times, n2, us):
     frac = (n2[idx - 1] - u) / np.where(drop > 0.0, drop, 1.0)
     t = lo + (hi - lo) * np.where(drop > 0.0, np.clip(frac, 0.0, 1.0), 0.5)
     ground2 = params.c0_ground ** 2
+    tol = JUMP_TOL / params.gamma
     active = np.arange(u.size)
     for _ in range(MAX_JUMP_STEPS):
         ta = t[active]
@@ -258,7 +261,7 @@ def _invert_survival(params, times, n2, us):
         t_new = np.where(inside, newton, 0.5 * (lo_a + hi_a))
         step = np.abs(t_new - ta)
         t[active], lo[active], hi[active] = t_new, lo_a, hi_a
-        active = active[(step >= JUMP_TOL) & (hi_a - lo_a >= JUMP_TOL)]
+        active = active[(step >= tol) & (hi_a - lo_a >= tol)]
         if not active.size:
             break
     jump_times[firing] = t

@@ -1,6 +1,7 @@
 """Shared fixtures: acceptance-criterion reporting, the RK4 reference,
-the amplitude derivatives and the reference jump-time bisection; and the
-one hypothesis profile of the property tests."""
+the amplitude derivatives, the reference jump-time bisection and the
+gamma-scaled point; and the one hypothesis profile of the property
+tests."""
 
 import cmath
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from cavityflux.dynamics import amplitudes_analytic
+from cavityflux.dynamics import ModelParams, amplitudes_analytic
 from cavityflux.trajectories import survival_at
 
 # property tests draw the same examples on every run and keep no state
@@ -116,6 +117,19 @@ def bisection_reference():
     """Jump times by plain bisection, as bisection_reference(params,
     times, n2, us, tol)."""
     return _bisection_reference
+
+
+def _scaled_point(v, delta, gamma):
+    return (ModelParams(v=v * gamma, delta=delta * gamma, gamma=gamma,
+                        t_max=14.0 / gamma), 1e-3 / gamma)
+
+
+@pytest.fixture(scope="session")
+def scaled_point():
+    """The point (V, delta) in units of gamma, on the default horizon
+    14/gamma, with its default step 1e-3/gamma, as scaled_point(v,
+    delta, gamma) -> (params, dt)."""
+    return _scaled_point
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -64,11 +64,15 @@ LIBRARY = {
         ModelParams(v=1.0, delta=0.0), 10, bin_width=NAN)),
     "grid-t_max": ("t_max", lambda: time_grid(INF, 1e-3)),
     "measure-dt-zero": ("dt", lambda: nm_measure(PARAMS, 0.0)),
-    "measure-dt-nan": ("dt", lambda: nm_measure(PARAMS, NAN)),
+    # the input rule comes before the resolution rule
+    "measure-dt-nan": ("dt must be finite", lambda: nm_measure(PARAMS, NAN)),
     "classify-dt": ("dt", lambda: classify(PARAMS, 1.8, dt=0.0)),
     "jumps-dt": ("dt", lambda: sample_jump_times(PARAMS, 10, 1, dt=0.0)),
     "sign_map-dt": ("dt", lambda: sign_map("v", 1.0, [0.5], dt=0.0)),
     "boundary-deltas-empty": ("deltas", lambda: markovian_boundary([])),
+    "boundary-deltas-scalar": ("deltas", lambda: markovian_boundary(0.5)),
+    "boundary-deltas-2d": ("deltas",
+                           lambda: markovian_boundary([[0.0, 1.0]])),
     "sweep-master_seed": ("master_seed", lambda: SweepConfig(
         **GRID, n_traj=10, master_seed=-3)),
     "sweep-v_count-float": ("v_count", lambda: SweepConfig(
@@ -112,9 +116,9 @@ SWEEP_CONFIGS = {
 # the test's directory, which holds the configs cfg.json and
 # sweep-<key>.json for each key of SWEEP_CONFIGS
 COMMAND_LINE = {
-    "boundary-tol-zero": ("tol_v", ["boundary", "--delta-count", "2",
+    "boundary-tol-zero": ("--tol", ["boundary", "--delta-count", "2",
                                     "--tol", "0", "--out", "{tmp}/b.csv"]),
-    "boundary-tol-negative": ("tol_v", ["boundary", "--delta-count", "2",
+    "boundary-tol-negative": ("--tol", ["boundary", "--delta-count", "2",
                                         "--tol=-1", "--out", "{tmp}/b.csv"]),
     "boundary-tol-nan": ("--tol", ["boundary", "--delta-count", "2",
                                    "--tol", "nan", "--out", "{tmp}/b.csv"]),
@@ -127,12 +131,18 @@ COMMAND_LINE = {
                                                  "--omega-threshold", "nan"]),
     "mcwf-bin": ("--bin", ["mcwf", *POINT, "--n-traj", "10", "--bin", "nan",
                            "--out", "{tmp}/mc"]),
+    # bounded flags are checked before --gamma scales them
+    "measure-v-negative": ("--v must be finite and >= 0, got -1.0", [
+        "measure", "--v=-1", "--delta", "0", "--gamma", "10"]),
+    "mcwf-bin-negative": ("--bin must be finite and > 0, got -1.0", [
+        "mcwf", *POINT, "--n-traj", "10", "--bin=-1", "--gamma", "10",
+        "--out", "{tmp}/mc"]),
     "config-t_max": ("--t-max", ["measure", *POINT,
                                  "--config", "{tmp}/cfg.json"]),
     "boundary-delta-count": ("--delta-count", ["boundary", "--delta-count",
                                                "0", "--out", "{tmp}/b.csv"]),
     "classify-boundary-points": ("--boundary-points", [
-        "classify", *POINT, "--auto-threshold", "--boundary-points", "0"]),
+        "classify", *POINT, "--boundary-points", "0"]),
     # the resolution rule: dt = 1e-3 misses the measure's revivals at
     # V = 3141.6 and aliases the flux line at V = 1600 (Nyquist)
     "measure-unresolved": ("dt", ["measure", "--v", "3141.6", "--delta", "0"]),

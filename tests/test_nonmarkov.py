@@ -298,6 +298,39 @@ def test_measure_scans_through_the_first_sample_past_t_star(monkeypatch):
     assert_array_equal(scanned[0], times[:2])
 
 
+@pytest.mark.parametrize("dt", [1e-3, 1e-2, 5e-4, 1e-4, 1e-3 / 0.3])
+def test_measure_halves_every_bracket_one_count(dt, monkeypatch):
+    # the smallest count that takes a one-step bracket to ENDPOINT_TOL,
+    # each halving one sign pass over all four endpoints
+    halvings = 0
+    while dt / 2 ** halvings > nonmarkov.ENDPOINT_TOL:
+        halvings += 1
+    scanned = _record_scans(monkeypatch)
+    params = ModelParams(v=2.0, delta=2.0, t_max=3.0)
+    assert len(nm_measure(params, dt).revival_intervals) == 2
+    assert len(scanned) == 1 + halvings
+    assert all(grid.size == 4 for grid in scanned[1:])
+
+
+@pytest.mark.parametrize("gamma", [1e-7, 1e-9, 1e-12])
+def test_measure_ends_at_small_gamma(gamma, scaled_point):
+    # past t ~ 4.5e7 the float spacing exceeds ENDPOINT_TOL, and a
+    # bisection that stopped on the bracket width never returned
+    unit = nm_measure(ModelParams(v=1.0, delta=0.3))
+    scaled = nm_measure(*scaled_point(1.0, 0.3, gamma))
+    assert scaled.n_value == pytest.approx(unit.n_value, rel=1e-12)
+    assert len(scaled.revival_intervals) == len(unit.revival_intervals)
+
+
+@settings(max_examples=100)
+@given(point=st.tuples(st.floats(0.0, 5.0), st.floats(-5.0, 5.0)),
+       log_gamma=st.floats(-12.0, 3.0))
+def test_measure_is_gamma_invariant(point, log_gamma, scaled_point):
+    unit = nm_measure(ModelParams(v=point[0], delta=point[1]))
+    scaled = nm_measure(*scaled_point(*point, 10.0 ** log_gamma))
+    assert scaled.n_value == pytest.approx(unit.n_value, rel=1e-9, abs=0.0)
+
+
 # (V, delta) in units of gamma: the whole drawn range, and a strip up
 # to d = 0 (V = gamma/4 on resonance) that holds d = 0 itself
 SCAN_POINTS = st.one_of(

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import cavityflux
 from cavityflux import trajectories
-from cavityflux.dynamics import (DEFAULT_DT, ModelParams,
+from cavityflux.dynamics import (DEFAULT_DT, ModelParams, flux_at,
                                  photon_flux_analytic, time_grid)
 from cavityflux.nonmarkov import nm_measure
 from cavityflux.trajectories import (
@@ -130,6 +132,13 @@ def test_zero_coupling_never_jumps():
     record = sample_jump_times(ModelParams(v=1.0, delta=0.0, c0_init=0.0),
                                50, master_seed=1)
     assert record.n_jumps == 0
+    # nor does a lossless cavity; rounding leaves N^2(T) = 1 - 3e-16
+    # there, so a draw of u = 1 gets past the survival test
+    params = ModelParams(v=1.0, delta=0.0, gamma=0.0)
+    times = time_grid(params.t_max, DEFAULT_DT)
+    n2 = np.minimum.accumulate(survival_at(params, times))
+    assert n2[-1] < 1.0
+    assert np.isnan(_invert_survival(params, times, n2, np.ones(1))).all()
 
 
 def test_numpy_integer_seed_gives_the_same_record():
@@ -182,9 +191,7 @@ def test_newton_matches_bisection(v, delta, bisection_reference):
     assert np.max(np.abs(survival_at(params, jt[fired]) - us[fired])) < 1e-14
 
 
-def test_newton_passes_per_block(monkeypatch):
-    # criterion 8's point: at most 4 kernel passes per block, beyond the
-    # one pass on the survival grid
+def _count_kernel_calls(monkeypatch):
     kernel = trajectories.amplitudes_analytic
     calls = []
 
@@ -193,12 +200,50 @@ def test_newton_passes_per_block(monkeypatch):
         return kernel(p, t)
 
     monkeypatch.setattr(trajectories, "amplitudes_analytic", counting)
+    return calls
+
+
+def test_newton_passes_per_block(monkeypatch):
+    # criterion 8's point: at most 4 kernel passes per block, beyond the
+    # one pass on the survival grid
+    calls = _count_kernel_calls(monkeypatch)
     n = 100_000
     sample_jump_times(STRONG, n, master_seed=42)
     n_blocks = -(-n // JUMP_BLOCK)
     assert calls[0] == time_grid(STRONG.t_max, DEFAULT_DT).size
     assert max(calls[1:]) <= JUMP_BLOCK
     assert len(calls) - 1 <= 4 * n_blocks
+
+
+def test_newton_passes_do_not_depend_on_gamma(monkeypatch, scaled_point):
+    # an absolute tolerance of 1e-10 lay below the float spacing of the
+    # jump times at gamma = 1e-8, and every block ran all MAX_JUMP_STEPS
+    calls = _count_kernel_calls(monkeypatch)
+    sample_jump_times(STRONG, 100_000, master_seed=42)
+    unit = len(calls)
+    calls.clear()
+    params, dt = scaled_point(1.0, 0.0, 1e-8)
+    sample_jump_times(params, 100_000, 42, dt)
+    assert len(calls) == unit
+
+
+@settings(max_examples=60)
+@given(point=st.tuples(st.floats(0.0, 5.0), st.floats(-5.0, 5.0)),
+       log_gamma=st.floats(-10.0, 6.0), seed=st.integers(0, 2 ** 32))
+def test_jump_times_are_gamma_invariant(point, log_gamma, seed,
+                                        scaled_point):
+    gamma = 10.0 ** log_gamma
+    unit_params = ModelParams(v=point[0], delta=point[1])
+    unit = sample_jump_times(unit_params, 500, seed).jump_times
+    params, dt = scaled_point(*point, gamma)
+    scaled = sample_jump_times(params, 500, seed, dt).jump_times * gamma
+    assert_array_equal(np.isnan(scaled), np.isnan(unit))
+    fired = ~np.isnan(unit)
+    # 1e-12 in units of 1/gamma, or, where the flux is weak, the time in
+    # which the survival moves by 1e-14: the rounding of the rescaled
+    # amplitudes moves N^2 by a few ulps, and t by that over the flux
+    slack = 1e-12 + 1e-14 / flux_at(unit_params, unit[fired])
+    assert (np.abs(scaled[fired] - unit[fired]) <= slack).all()
 
 
 def test_blocks_do_not_change_the_record():
