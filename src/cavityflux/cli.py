@@ -64,8 +64,9 @@ def parse_args(parser, argv=None) -> argparse.Namespace:
     Config values become the subcommand's defaults as strings, so the
     second parse types them as it types flags; other keys are ignored,
     and a null value counts as not given.  Every float flag must be
-    finite and each flag in BOUNDS that is given past its lower bound,
-    or it is a usage error.
+    finite, each flag in BOUNDS that is given past its lower bound, and
+    --v-hi past --v-lo, --bin within --t-max and --dt fine enough for
+    --t-max, or it is a usage error in the units of the flags.
     """
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
@@ -82,6 +83,14 @@ def parse_args(parser, argv=None) -> argparse.Namespace:
         if isinstance(value, float) or (key in BOUNDS and value is not None):
             require_finite(f"--{key.replace('_', '-')}", value,
                            *BOUNDS.get(key, ()))
+    if hasattr(args, "v_hi"):
+        require_finite("--v-hi", args.v_hi, args.v_lo, strict=True)
+    if hasattr(args, "bin") and args.bin > args.t_max:
+        raise ValueError(f"--bin must be <= --t-max = {args.t_max:g}, "
+                         f"got {args.bin:g}")
+    if hasattr(args, "dt") and args.t_max / args.dt <= 0.5:   # no grid step
+        raise ValueError(f"--dt={args.dt:g} too coarse for "
+                         f"--t-max={args.t_max:g}")
     if hasattr(args, "gamma"):
         for key in FREQUENCIES + TIMES:
             value = getattr(args, key, None)
@@ -191,13 +200,14 @@ def cmd_boundary(args) -> int:
 
 def cmd_spectrum(args) -> int:
     spec = analytic_spectrum(_params(args), args.dt)
-    spec.to_csv(args.out)
-    try:
+    try:     # the peak first, so a spectrum out of float range writes nothing
         peak = dominant_peak(spec)
-        print(f"omega_peak = {peak.omega_peak:.6g}, "
-              f"prominence = {peak.prominence:.6g}")
+        line = (f"omega_peak = {peak.omega_peak:.6g}, "
+                f"prominence = {peak.prominence:.6g}")
     except NoSignal:
-        print("no signal: flux carries no detrended power")
+        line = "no signal: flux carries no detrended power"
+    spec.to_csv(args.out)
+    print(line)
     print(f"wrote {args.out}")
     return 0
 

@@ -189,8 +189,7 @@ class AmplitudeSeries:
     def flux(self, gamma: float) -> FluxSeries:
         """Analytic photon flux R(t) = gamma |b(t)|^2 on the same grid."""
         return FluxSeries(times=self.times,
-                          values=gamma * self.mode_population(),
-                          kind="analytic")
+                          values=gamma * self.mode_population())
 
     def survival(self) -> np.ndarray:
         """Squared norm of the unnormalised state (no-jump probability)."""
@@ -207,14 +206,12 @@ class AmplitudeSeries:
 class FluxSeries:
     """Photon flux R(t) on a uniform grid.
 
-    kind is "analytic" for gamma |b(t)|^2 evaluated from closed forms,
-    "mcwf-estimate" for a time-binned trajectory estimate (then counts,
-    n_traj and bin_width are set and times are bin centers).
+    A time-binned trajectory estimate also sets counts, n_traj and
+    bin_width, and its times are bin centers.
     """
 
     times: np.ndarray
     values: np.ndarray
-    kind: str
     counts: np.ndarray | None = None
     n_traj: int | None = None
     bin_width: float | None = None

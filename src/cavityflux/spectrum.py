@@ -32,7 +32,6 @@ from .files import write_csv
 from .nonmarkov import EPS_N, BoundaryCurve, nm_measure
 
 DEFAULT_MIN_PROMINENCE = 0.1
-NO_SIGNAL_REL = 1e-30       # of signal-scale squared
 SHOULDER_FLOOR = 1e-6       # beyond-valley peak must exceed this x bin-1 power
 # |Im d| dt at which the flux line Omega = |Im d| / 2 reaches the
 # Nyquist frequency pi / dt and folds back
@@ -40,7 +39,7 @@ NYQUIST = 2.0 * np.pi
 
 
 class NoSignal(ValueError):
-    """Detrended signal carries no power to analyze."""
+    """Detrended signal carries no power: its spectrum is zero."""
 
 
 class EmptyRegion(ValueError):
@@ -56,14 +55,15 @@ def detrend(flux: FluxSeries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """DFT of a real signal, stored over k = 0 .. floor(N/2)."""
+    """Power |S_k|^2 of the DFT of a real signal, over k = 0 .. N // 2."""
 
-    omega: np.ndarray
-    s_values: np.ndarray
     power: np.ndarray
     n_samples: int
     dt: float
-    signal_scale: float
+
+    @property
+    def omega(self) -> np.ndarray:
+        return 2.0 * np.pi * np.fft.rfftfreq(self.n_samples, self.dt)
 
     @property
     def bin_width(self) -> float:
@@ -91,11 +91,8 @@ def dft(r, dt: float) -> SpectrumResult:
     n = r.size
     if n < 2:
         raise ValueError("need at least 2 samples")
-    scale = float(np.max(np.abs(r)))
-    s = np.fft.rfft(r)
-    omega = 2.0 * np.pi * np.fft.rfftfreq(n, dt)
-    return SpectrumResult(omega=omega, s_values=s, power=np.abs(s) ** 2,
-                          n_samples=n, dt=float(dt), signal_scale=scale)
+    return SpectrumResult(power=np.abs(np.fft.rfft(r)) ** 2, n_samples=n,
+                          dt=float(dt))
 
 
 def _shape_dft(params: ModelParams, n: int, dt: float) -> np.ndarray:
@@ -134,21 +131,23 @@ def _shape_dft(params: ModelParams, n: int, dt: float) -> np.ndarray:
 
 
 def analytic_spectrum(params: ModelParams, dt: float = DEFAULT_DT) -> SpectrumResult:
-    """Closed-form DFT of the detrended analytic flux R = 2 gamma V^2 |c0|^2
-    f (f of _shape_dft) on time_grid's samples: S_0 = 0, and S = 0 when
-    gamma V c0 = 0.  signal_scale is an upper bound on R.  A dt that
-    aliases the flux line (|Im d| dt >= NYQUIST) raises ValueError."""
+    """Closed-form power of the DFT of the detrended analytic flux R =
+    2 gamma V^2 |c0|^2 f (f of _shape_dft) on time_grid's samples: S_0 =
+    0, and S = 0 when gamma, V or c0 is 0.  A dt that aliases the flux
+    line (|Im d| dt >= NYQUIST) raises ValueError.  On a grid in units
+    of 1/gamma, S grows as gamma; its factors stay in float range for
+    gamma in 1e-152 .. 1e150, and below that f's t^2 overflows to NaN,
+    which raises FloatingPointError."""
     n = time_grid(params.t_max, dt).size
     require_resolved(params, dt, NYQUIST)
     gamma, c2 = params.gamma, abs(complex(params.c0_init)) ** 2
-    # R = gamma |b|^2 <= gamma c2, and |b| <= 2 V |c0| / gamma
-    scale = c2 * min(gamma, 4.0 * params.v ** 2 / gamma) if gamma else 0.0
-    s = np.zeros(n // 2 + 1, dtype=complex)
-    if scale:
-        s[1:] = 2.0 * gamma * c2 * params.v ** 2 * _shape_dft(params, n, dt)
-    return SpectrumResult(omega=2.0 * np.pi * np.fft.rfftfreq(n, dt),
-                          s_values=s, power=np.abs(s) ** 2, n_samples=n,
-                          dt=float(dt), signal_scale=scale)
+    power = np.zeros(n // 2 + 1)
+    if gamma and params.v and c2:
+        scale = 2.0 * c2 * (params.v / gamma) ** 2 * gamma * gamma
+        power[1:] = np.abs(scale * (gamma * _shape_dft(params, n, dt))) ** 2
+        if np.isnan(power).any():
+            raise FloatingPointError(f"spectrum is NaN at gamma={gamma:g}")
+    return SpectrumResult(power=power, n_samples=n, dt=float(dt))
 
 
 def coherent_frequency(v: float, delta: float) -> float:
@@ -185,15 +184,17 @@ def dominant_peak(spectrum: SpectrumResult) -> PeakEstimate:
     is reported.  prominence = peak-bin power / total power with the
     shoulder bins 1..k1-1 (and mirrors) excluded from the total, so a
     pure cosine still scores 1/2.  No prominence gating happens here.
+    Zero total power raises NoSignal, an overflowed one FloatingPointError.
     """
     p = spectrum.power
     kmax = p.size - 1
     if kmax < 1:
         raise NoSignal("spectrum has no nonzero-frequency bins")
     total = spectrum.total_power()
-    scale = spectrum.signal_scale
-    if total / spectrum.n_samples <= NO_SIGNAL_REL * scale * scale:
-        raise NoSignal("detrended signal power below noise floor")
+    if total == np.inf:
+        raise FloatingPointError("spectrum's total power overflows")
+    if total == 0.0:
+        raise NoSignal("detrended signal carries no power")
 
     # first k >= 1 where p[k+1] < p[k] fails; a NaN bin stops the walk
     stops = np.flatnonzero(~(p[2:] < p[1:-1]))
@@ -306,12 +307,12 @@ def classify(params: ModelParams, omega_threshold: float,
 
     Detection requires the dominant line above omega_threshold with at
     least min_prominence.  flux defaults to the analytic R(t), whose
-    spectrum is analytic_spectrum's closed form; an mcwf-estimate
-    FluxSeries goes through dft unchanged.  With ground_truth
+    spectrum is analytic_spectrum's closed form; a sampled flux, such as
+    estimate_flux's, goes through dft unchanged.  With ground_truth
     the measure is evaluated to refine undetected points into Markovian
     vs NonMarkovianUndetectable.  A flux step that aliases the flux line
     (|Im d| dt >= NYQUIST), or with ground_truth one the measure refuses,
-    raises ValueError.
+    raises ValueError, and a spectrum out of float range ArithmeticError.
     """
     require_finite("omega_threshold", omega_threshold, 0)
     require_finite("min_prominence", min_prominence)

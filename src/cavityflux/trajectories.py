@@ -324,16 +324,15 @@ def estimate_flux(params: ModelParams, n_traj: int,
     counts, _ = np.histogram(jt, bins=n_bins, range=(0.0, covered))
     centers = (np.arange(n_bins) + 0.5) * bin_width
     values = counts / (n_traj * bin_width)
-    return FluxSeries(times=centers, values=values, kind="mcwf-estimate",
-                      counts=counts, n_traj=n_traj, bin_width=bin_width)
+    return FluxSeries(times=centers, values=values, counts=counts,
+                      n_traj=n_traj, bin_width=bin_width)
 
 
 def analytic_flux_at_bins(params: ModelParams,
                           estimate: FluxSeries) -> FluxSeries:
     """Analytic flux evaluated at the estimate's bin centers."""
     return FluxSeries(times=estimate.times.copy(),
-                      values=flux_at(params, estimate.times),
-                      kind="analytic")
+                      values=flux_at(params, estimate.times))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Shared fixtures: acceptance-criterion reporting, the RK4 reference,
 the amplitude derivatives, the reference jump-time bisection and the
-gamma-scaled point; and the one hypothesis profile of the property
-tests."""
+gamma-scaled point; the one hypothesis profile of the property tests;
+and the import path of the CLI tests' child interpreters."""
 
 import cmath
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,12 @@ from hypothesis import settings
 
 from cavityflux.dynamics import ModelParams, amplitudes_analytic
 from cavityflux.trajectories import survival_at
+
+# the CLI tests' child interpreters import the package from src, as
+# pytest's pythonpath setting lets this one do without an install
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(Path(__file__).resolve().parents[1] / "src"),
+     *filter(None, [os.environ.get("PYTHONPATH")])])
 
 # property tests draw the same examples on every run and keep no state
 settings.register_profile("cavityflux", derandomize=True, deadline=None,

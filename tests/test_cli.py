@@ -331,6 +331,17 @@ def test_numerical_failure_exits_1(exc_type, patched, argv, monkeypatch,
     assert err == "error: no usable result\n"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("gamma", ["1e-155", "1e152"])
+def test_spectrum_out_of_float_range_exits_1(gamma, tmp_path, capsys):
+    # the flux power grows as gamma^2 and leaves float range beyond
+    # gamma = 1e-152 .. 1e150: a numerical failure, with no CSV written
+    assert cli.main(["spectrum", "--v", "2", "--delta", "2", "--gamma",
+                     gamma, "--out", str(tmp_path / "s.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
 def test_plain_value_error_is_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "analytic_spectrum",
                         _raises(ValueError("bad input")))

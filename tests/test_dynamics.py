@@ -308,7 +308,6 @@ def test_amplitude_csv_round_trip(tmp_path):
 def test_flux_series(tmp_path):
     params = ModelParams(v=1.0, delta=0.0)
     flux = photon_flux_analytic(params, dt=1e-2)
-    assert flux.kind == "analytic"
     assert flux.dt == pytest.approx(1e-2)
     # flux is gamma |b|^2 by construction
     series = amplitude_series(params, dt=1e-2)

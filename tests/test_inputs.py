@@ -137,6 +137,15 @@ COMMAND_LINE = {
     "mcwf-bin-negative": ("--bin must be finite and > 0, got -1.0", [
         "mcwf", *POINT, "--n-traj", "10", "--bin=-1", "--gamma", "10",
         "--out", "{tmp}/mc"]),
+    # so are the flags checked against each other
+    "boundary-v-hi": ("--v-hi must be finite and > 0.05, got 0.01", [
+        "boundary", "--delta-count", "2", "--v-hi", "0.01", "--gamma", "10",
+        "--out", "{tmp}/b.csv"]),
+    "mcwf-bin-past-horizon": ("--bin must be <= --t-max = 14, got 20", [
+        "mcwf", *POINT, "--n-traj", "10", "--bin", "20", "--gamma", "10",
+        "--out", "{tmp}/mc"]),
+    "measure-dt-coarse": ("--dt=100 too coarse for --t-max=14", [
+        "measure", *POINT, "--dt", "100", "--gamma", "10"]),
     "config-t_max": ("--t-max", ["measure", *POINT,
                                  "--config", "{tmp}/cfg.json"]),
     "boundary-delta-count": ("--delta-count", ["boundary", "--delta-count",

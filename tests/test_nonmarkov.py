@@ -339,6 +339,29 @@ SCAN_POINTS = st.one_of(
               st.floats(-1e-6, 1e-6)))
 
 
+@settings(max_examples=300)
+@given(point=SCAN_POINTS, gamma=st.floats(0.1, 10.0))
+def test_three_term_form_decides_sigma_positive(point, gamma):
+    # f = Re A - Re B |u|^2 + Re(Z u), with A, B, Z and u as in
+    # revival_free_after, and sigma > 0 exactly where f < 0; only where
+    # f is within rounding of 0 may the two forms disagree
+    params = ModelParams(v=point[0] * gamma, delta=point[1] * gamma,
+                         gamma=gamma)
+    times = np.linspace(0.0, 30.0 / gamma, 30001)
+    positive = sigma_positive(params, times)
+    d = splitting(params)
+    if d == 0 or params.v == 0:
+        assert not positive.any()
+        return
+    q = (params.gamma + 2j * params.delta) / d
+    a, b = (1.0 + q).conjugate() / d, (1.0 - q).conjugate() / d
+    u = np.exp(-d * times / 2.0)
+    with np.errstate(invalid="ignore"):     # A, B overflow as d -> 0
+        f = a.real - b.real * np.abs(u) ** 2 + ((b.conjugate() - a) * u).real
+    clear = np.abs(f) > 1e-9 * (abs(a) + abs(b))
+    assert_array_equal(positive[clear], f[clear] < 0.0)
+
+
 @settings(max_examples=200)
 @given(point=SCAN_POINTS, gamma=st.floats(0.1, 10.0))
 def test_no_revival_past_t_star(point, gamma):

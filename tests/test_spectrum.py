@@ -46,8 +46,7 @@ def test_detrend_removes_mean():
     flux = photon_flux_analytic(ModelParams(v=1.0, delta=0.0), dt=1e-2)
     r = detrend(flux)
     assert abs(r.mean()) < 1e-15
-    const = FluxSeries(times=np.arange(10) * 0.1,
-                       values=np.full(10, 3.7), kind="analytic")
+    const = FluxSeries(times=np.arange(10) * 0.1, values=np.full(10, 3.7))
     assert_allclose(detrend(const), np.zeros(10), rtol=0.0, atol=1e-15)
 
 
@@ -141,9 +140,7 @@ def _loop_valley(p):
 def _power_spectrum(power):
     power = np.asarray(power, dtype=float)
     n = 2 * (power.size - 1)
-    return SpectrumResult(omega=np.arange(power.size) * 2.0 * np.pi / n,
-                          s_values=np.sqrt(power).astype(complex),
-                          power=power, n_samples=n, dt=1.0, signal_scale=1.0)
+    return SpectrumResult(power=power, n_samples=n, dt=1.0)
 
 
 @pytest.mark.parametrize("spec, k_valley", [
@@ -246,8 +243,7 @@ def test_no_signal():
     zero = photon_flux_analytic(ModelParams(v=0.0, delta=0.0))
     with pytest.raises(NoSignal):
         dominant_peak(dft(detrend(zero), zero.dt))
-    const = FluxSeries(times=np.arange(50) * 0.1,
-                       values=np.full(50, 2.0), kind="analytic")
+    const = FluxSeries(times=np.arange(50) * 0.1, values=np.full(50, 2.0))
     with pytest.raises(NoSignal):
         dominant_peak(dft(detrend(const), 0.1))
 
@@ -412,13 +408,39 @@ def test_zero_flux_has_a_zero_spectrum(params):
 
 
 def test_weak_flux_is_not_zero_flux():
-    # R <= 4 V^2 |c0|^2 / gamma bounds the signal scale at weak coupling,
-    # so a flux of order 1e-18 keeps its line, as on the sampled grid
-    for v in (1e-6, 1e-9):
-        verdict = classify(ModelParams(v=v, delta=0.0), OMEGA_M)
+    # only a flux that is zero throughout has no line: one of order
+    # 1e-18, and one watched for only 1e-8, keep theirs, as on the grid
+    for params, dt in [(ModelParams(v=1e-6, delta=0.0), DEFAULT_DT),
+                       (ModelParams(v=1e-9, delta=0.0), DEFAULT_DT),
+                       (ModelParams(v=1.0, delta=0.0, t_max=1e-8), 1e-11)]:
+        verdict = classify(params, OMEGA_M, dt=dt)
         assert verdict.note is None
-        grid = dominant_peak(_flux_spectrum(v, 0.0))
+        grid = dominant_peak(dft(detrend(photon_flux_analytic(params, dt)),
+                                 dt))
         assert verdict.omega_peak == pytest.approx(grid.omega_peak, rel=1e-9)
+
+
+@pytest.mark.parametrize("gamma", [1e-150, 1e-100, 1e100, 1e150])
+def test_closed_form_spectrum_at_extreme_gamma(scaled_point, gamma):
+    # the power grows as gamma^2, and every factor of the closed form
+    # stays in float range from gamma = 1e-152 to 1e150
+    def run(g):
+        params, dt = scaled_point(2.0, 2.0, g)
+        return classify(params, 1.817 * g, dt=dt)
+
+    ref, got = run(1.0), run(gamma)
+    assert got.label == ref.label
+    assert got.omega_peak / gamma == pytest.approx(ref.omega_peak, rel=1e-12)
+    assert got.prominence == pytest.approx(ref.prominence, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("gamma", [1e-155, 1e152])
+def test_spectrum_out_of_float_range_raises(scaled_point, gamma):
+    # below, f's t^2 overflows to NaN; above, the total power overflows
+    params, dt = scaled_point(2.0, 2.0, gamma)
+    with pytest.raises(ArithmeticError):
+        classify(params, 1.817 * gamma, dt=dt)
 
 
 def test_verdict_serialization():

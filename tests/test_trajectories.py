@@ -319,7 +319,6 @@ def test_flux_estimate_zero_coupling():
     flux = estimate_flux(ModelParams(v=0.0, delta=0.0), 100, master_seed=0)
     assert_array_equal(flux.values, np.zeros_like(flux.values))
     assert flux.counts.sum() == 0
-    assert flux.kind == "mcwf-estimate"
 
 
 def test_invalid_binning():
@@ -399,7 +398,7 @@ def test_grid_mismatch():
     with pytest.raises(GridMismatch):
         flux_residual_stats(
             est, type(shifted)(times=shifted.times + 0.01,
-                               values=shifted.values, kind="analytic"))
+                               values=shifted.values))
 
 
 def test_residual_identity_and_no_counts():
