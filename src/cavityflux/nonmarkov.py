@@ -14,8 +14,9 @@ Gamma t but keep a clean floating-point sign, while any absolute cutoff
 would swallow them and bias the boundary location.
 
 The measure, the Markovian boundary and sign_map all take that sign
-from sigma_positive, which drops the decaying envelopes: it cannot
-overflow at any horizon, and revivals keep their sign after the
+from sigma_positive, a form in d and gamma that drops the decaying
+envelopes and divides by nothing: it cannot overflow at any horizon or
+coupling, d = 0 included, and revivals keep their sign after the
 envelope underflows, so revival intervals run to the horizon.  Past
 the revival-free time t* of revival_free_after no revival occurs, so
 the measure scans the grid once, through its first sample past t*, and
@@ -74,59 +75,57 @@ def sigma_positive(params: ModelParams, t):
 
     With x = d t / 4 and chat = cosh x + (g/d) sinh x,
     sigma = -8 V^2 |c0|^2 e^{-gamma t/2} Re(conj(chat) sinh(x) / d).
-    Dividing out the positive factors e^{-gamma t/2} and |e^x|^2 / 4
-    leaves, with u = e^{-d t/2}, s = 1 - u and B = conj(1 - g/d) / d,
+    Dividing out the positive factors e^{-gamma t/2} |e^x|^2 / 4 and
+    multiplying by |d|^2 leaves, with u = e^{-d t/2} and s = 1 - u,
 
-        sigma > 0  <=>  f = Re(conj((1+u) + (g/d) s) s / d)
-                          = Re(2 s / d) - Re(B) |s|^2 < 0.
+        sigma > 0  <=>  F = 2 Re(conj(d) s) - (Re d - gamma) |s|^2 < 0,
 
-    Re d >= 0 keeps |u| <= 1, so nothing overflows at any horizon.  s
-    is taken in real parts from expm1, sin and cos (-d t/2 = y + 2ih,
-    s = -expm1(y) - 2i e^y sin(h) e^{ih}), so it keeps its digits as
-    d t -> 0.  At d = 0 sigma is its limit
-    -2 V^2 |c0|^2 t e^{-gamma t/2} (1 + gamma t/4) <= 0.
+    which divides by nothing.  At d = 0, F = 0 and sigma is its limit
+    -2 V^2 |c0|^2 t e^{-gamma t/2} (1 + gamma t/4) <= 0.  Re d >= 0
+    keeps |u| <= 1, so nothing overflows at any horizon or coupling.
+    s is taken in real parts from expm1, sin and cos (-d t/2 = y + 2ih,
+    s = -expm1(y) - 2i e^y sin(h) e^{ih}): it keeps its digits as d t -> 0.
     """
     tt = np.asarray(t, dtype=float)
-    d = splitting(params)
-    if d == 0 or params.v == 0 or complex(params.c0_init) == 0:
+    if params.v == 0 or complex(params.c0_init) == 0:
         return np.zeros(tt.shape, dtype=bool)
-    g = params.gamma + 2j * params.delta
+    d = splitting(params)
     em, h = np.expm1(-0.5 * d.real * tt), -0.25 * d.imag * tt
     sh = np.sin(h)
     esh = (2.0 + 2.0 * em) * sh
     re, im = esh * sh - em, esh * np.cos(h)     # s = re - i im
-    two_d, re_b = 2.0 / d, ((1.0 - g / d).conjugate() / d).real
-    return (two_d.real * re + two_d.imag * im
-            - re_b * (re * re + im * im)) < 0.0
+    return (2.0 * d.real * re - 2.0 * d.imag * im
+            < (d.real - params.gamma) * (re * re + im * im))
 
 
 def revival_free_after(params: ModelParams) -> float:
     """Time t* past which sigma_positive is False: no revival starts later.
 
-    With q = g/d, A = conj(1+q)/d, B = conj(1-q)/d, Z = conj(B) - A and
-    r = |u| <= 1, sigma_positive's f = Re A - Re B r^2 + Re(Z u) is at
-    least Re A - K r, K = |Re B| + |Z|, whatever the phase of u.  So
-    f > tau = 1e-9 (|A| + |B|) for t past
-    t* = max(0, 2 ln(K / (Re A - tau)) / Re d) if Re d > 0 and Re A > tau;
-    else t* is infinite.  t* = 0 where sigma_positive is never True
-    (d = 0, V = 0 or c0 = 0).
+    In u, sigma_positive's F = (gamma + Re d) + (gamma - Re d) r^2 +
+    Re((2i Im d - 2 gamma) u), r = |u| <= 1, is at least gamma + Re d
+    - K r, K = |gamma - Re d| + 2 hypot(gamma, Im d) >= gamma + Re d,
+    whatever the phase of u.  So F > tau = 1e-9 (|d + g| + |d - g|)
+    for t past t* = 2 ln(K / (gamma + Re d - tau)) / Re d > 0 if
+    Re d > 0 and gamma + Re d > tau; else t* is infinite.  t* = 0 where
+    sigma_positive is never True (d = 0, V = 0 or c0 = 0).
 
-    tau covers the rounding of both forms.  sigma_positive's f sums terms
-    of at most 4 (|A| + |B|) (|s| <= 2, 2/|d| <= |A| + |B|) from parts of
-    s exact to a few ulps, so it is off by ~50 eps (|A| + |B|).  Rounding
-    A, B, Z and t* moves Re A - K r by ~eps (|A| + |B|) (1 + |ln r|),
-    with |ln r| < 746.  Both stay below tau / 50, eps being 2.2e-16.
-    1e-9 Re A would not do: Re A / (|A| + |B|) ~ gamma / 8V for V >> gamma.
+    tau covers the rounding of both forms.  Each of F's three terms is
+    at most 4 (|d + g| + |d - g|) in size (|s| <= 2, 2 |d| <=
+    |d + g| + |d - g|, |Re d - gamma| <= |d - g|), from parts of s
+    exact to a few ulps, so F is off by ~50 eps (|d + g| + |d - g|).
+    Rounding K, gamma + Re d - tau and t* moves gamma + Re d - K r by
+    ~eps (|d + g| + |d - g|) (1 + |ln r|), with |ln r| < 746.  Both
+    stay below tau / 50, eps being 2.2e-16.  1e-9 (gamma + Re d) would
+    not do: it is ~gamma / 8V of |d + g| + |d - g| for V >> gamma.
     """
     d = splitting(params)
     if d == 0 or params.v == 0 or complex(params.c0_init) == 0:
         return 0.0
-    q = (params.gamma + 2j * params.delta) / d
-    a, b = (1.0 + q).conjugate() / d, (1.0 - q).conjugate() / d
-    slack = 1e-9 * (abs(a) + abs(b))
-    if d.real > 0 and a.real > slack:
-        k = abs(b.real) + abs(b.conjugate() - a)
-        return max(0.0, 2.0 * math.log(k / (a.real - slack)) / d.real)
+    gamma, g = params.gamma, params.gamma + 2j * params.delta
+    floor = gamma + d.real - 1e-9 * (abs(d + g) + abs(d - g))
+    if d.real > 0 and floor > 0:
+        k = abs(gamma - d.real) + 2.0 * math.hypot(gamma, d.imag)
+        return 2.0 * math.log(k / floor) / d.real
     return math.inf
 
 

@@ -46,10 +46,20 @@ class EmptyRegion(ValueError):
     """No Markovian parameter points in the requested domain."""
 
 
+def _finite_flux(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"flux samples must be finite, got "
+                         f"{values[bad[0]]} at sample {bad[0]}")
+    return values
+
+
 def detrend(flux: FluxSeries) -> np.ndarray:
     """r = R - mean(R), the discrete version of subtracting the time
-    average over the observation window."""
-    values = np.asarray(flux.values, dtype=float)
+    average over the observation window.  A non-finite sample raises
+    ValueError."""
+    values = _finite_flux(flux.values)
     return values - values.mean()
 
 
@@ -84,10 +94,11 @@ def dft(r, dt: float) -> SpectrumResult:
     """Discrete Fourier transform of the detrended flux.
 
     No window: the flux decays to ~0 within the horizon, so leakage is
-    already limited.
+    already limited.  A non-finite sample raises ValueError: its
+    spectrum would be NaN in every bin.
     """
     require_finite("dt", dt, 0, strict=True)
-    r = np.asarray(r, dtype=float)
+    r = _finite_flux(r)
     n = r.size
     if n < 2:
         raise ValueError("need at least 2 samples")

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityflux import cli
-from cavityflux.dynamics import ModelParams, require_finite, time_grid
+from cavityflux.dynamics import (FluxSeries, ModelParams, require_finite,
+                                 time_grid)
 from cavityflux.nonmarkov import markovian_boundary, nm_measure, sign_map
 from cavityflux.spectrum import classify, dft
 from cavityflux.sweep import SweepConfig
@@ -96,6 +97,13 @@ LIBRARY = {
     "dft-dt-nan": ("dt", lambda: dft(np.ones(4), NAN)),
     "dft-dt-negative": ("dt", lambda: dft(np.ones(4), -1.0)),
     "dft-dt-zero": ("dt", lambda: dft(np.ones(4), 0.0)),
+    # one non-finite sample would make every bin NaN
+    "dft-flux-nan": ("flux", lambda: dft(np.array([1.0, NAN, 2.0]), 0.1)),
+    "dft-flux-inf": ("flux", lambda: dft(np.array([1.0, INF, 2.0]), 0.1)),
+    "classify-flux-nan": ("flux", lambda: classify(PARAMS, 1.8, flux=(
+        FluxSeries(np.arange(3) * 0.1, np.array([1.0, NAN, 2.0]))))),
+    "classify-flux-inf": ("flux", lambda: classify(PARAMS, 1.8, flux=(
+        FluxSeries(np.arange(3) * 0.1, np.array([1.0, INF, 2.0]))))),
     "sweep-workers-float": ("workers", lambda: SweepConfig(**GRID,
                                                            workers=2.5)),
 }

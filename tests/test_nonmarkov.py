@@ -206,6 +206,10 @@ def _boundary_grid():
     # through expm1, come first, then the full grid
     (1.0, 0.5, np.concatenate([np.linspace(0.0, 4e-6, 41),
                                time_grid(20.0, 1e-3)[1:]]), "series"),
+    # V = gamma/4 with a subnormal detuning: 0 < |d| < 1e-154, where
+    # 1/d overflows
+    (0.25, 1e-310, _boundary_grid(), "subnormal"),
+    (0.25, 5e-324, _boundary_grid(), "subnormal"),
 ])
 def test_sigma_positive_matches_sigma_values(v, delta, times, kind):
     params = ModelParams(v=v, delta=delta, t_max=float(times[-1]))
@@ -213,9 +217,11 @@ def test_sigma_positive_matches_sigma_values(v, delta, times, kind):
     pos = sigma_positive(params, times)
     assert pos.dtype == bool and pos.shape == times.shape
     assert_array_equal(pos, sigma_values(params, times) > 0.0)
-    if kind == "zero":
-        assert d == 0
+    if kind in ("zero", "subnormal"):
+        assert (d == 0) == (kind == "zero") and abs(d) < 1e-154
         assert not pos.any()
+        assert math.isfinite(revival_free_after(params))
+        assert nm_measure(params).n_value == 0.0
     else:
         assert pos.any()
         assert (d.real == 0) == (kind == "imaginary")
@@ -342,9 +348,11 @@ SCAN_POINTS = st.one_of(
 @settings(max_examples=300)
 @given(point=SCAN_POINTS, gamma=st.floats(0.1, 10.0))
 def test_three_term_form_decides_sigma_positive(point, gamma):
-    # f = Re A - Re B |u|^2 + Re(Z u), with A, B, Z and u as in
-    # revival_free_after, and sigma > 0 exactly where f < 0; only where
-    # f is within rounding of 0 may the two forms disagree
+    # f = Re A - Re B |u|^2 + Re(Z u), with q = g/d, A = conj(1+q)/d,
+    # B = conj(1-q)/d, Z = conj(B) - A and u = e^{-dt/2}, is F / |d|^2
+    # for sigma_positive's F, found here by dividing by d; sigma > 0
+    # exactly where f < 0, and only where f is within rounding of 0 may
+    # the two forms disagree
     params = ModelParams(v=point[0] * gamma, delta=point[1] * gamma,
                          gamma=gamma)
     times = np.linspace(0.0, 30.0 / gamma, 30001)
@@ -363,8 +371,9 @@ def test_three_term_form_decides_sigma_positive(point, gamma):
 
 
 @settings(max_examples=200)
-@given(point=SCAN_POINTS, gamma=st.floats(0.1, 10.0))
-def test_no_revival_past_t_star(point, gamma):
+@given(point=SCAN_POINTS, log_gamma=st.floats(-12.0, 3.0))
+def test_no_revival_past_t_star(point, log_gamma):
+    gamma = 10.0 ** log_gamma
     v, delta = point[0] * gamma, point[1] * gamma
     params = ModelParams(v=v, delta=delta, gamma=gamma)
     t_star = revival_free_after(params)
