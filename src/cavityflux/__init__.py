@@ -8,8 +8,7 @@ from .dynamics import (AmplitudeSeries, FluxSeries, ModelParams,
                        photon_flux_analytic, splitting, time_grid)
 from .nonmarkov import (BoundaryCurve, NMResult, SignMap,
                         UnsupportedInitialState, markovian_boundary,
-                        mode_gain_values, nm_measure, sigma_positive,
-                        sigma_values, sign_map)
+                        nm_measure, sigma_positive, sigma_values, sign_map)
 from .spectrum import (EmptyRegion, NoSignal, PeakEstimate, RegionVerdict,
                        SpectrumResult, ThresholdFrequency, classify,
                        coherent_frequency, detrend, dft, dominant_peak,
@@ -31,8 +30,8 @@ __all__ = [
     "amplitude_series", "amplitudes_analytic",
     "analytic_flux_at_bins", "classify", "coherent_frequency", "detrend",
     "dft", "dominant_peak", "estimate_flux", "figure_datasets", "flux_at",
-    "flux_residual_stats", "markovian_boundary", "mode_gain_values",
-    "nm_measure", "photon_flux_analytic", "run_sweep", "sample_jump_times",
+    "flux_residual_stats", "markovian_boundary", "nm_measure",
+    "photon_flux_analytic", "run_sweep", "sample_jump_times",
     "sigma_positive", "sigma_values", "sign_map",
     "splitting", "survival_at", "threshold_frequency", "time_grid",
     "trajectory_seed", "__version__",

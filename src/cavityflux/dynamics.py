@@ -126,10 +126,20 @@ def splitting(params: ModelParams) -> complex:
     """Splitting parameter d = sqrt(-16 V^2 + (gamma + 2i delta)^2).
 
     Principal branch; all downstream amplitudes are invariant under
-    d -> -d, so the branch choice is free.
+    d -> -d, so the branch choice is free.  Where max(V, |g|) lies
+    outside [2^-500, 2^500], V and g are scaled by a power of two before
+    squaring and d scaled back, so the squares neither overflow nor lose
+    digits below the normal range; inside it d is computed unscaled.
     """
     g = params.gamma + 2j * params.delta
-    return cmath.sqrt(-16.0 * params.v ** 2 + g * g)
+    size = max(params.v, abs(g))
+    if 2.0 ** -500 <= size <= 2.0 ** 500:
+        return cmath.sqrt(-16.0 * params.v ** 2 + g * g)
+    k = math.frexp(size)[1]
+    v, g = math.ldexp(params.v, -k), complex(math.ldexp(g.real, -k),
+                                             math.ldexp(g.imag, -k))
+    d = cmath.sqrt(-16.0 * v ** 2 + g * g)
+    return complex(math.ldexp(d.real, k), math.ldexp(d.imag, k))
 
 
 def amplitudes_analytic(params: ModelParams, t):

@@ -13,14 +13,18 @@ sign of sigma: near the boundary revivals are exponentially small in
 Gamma t but keep a clean floating-point sign, while any absolute cutoff
 would swallow them and bias the boundary location.
 
-The measure, the Markovian boundary and sign_map all take that sign
-from sigma_positive, a form in d and gamma that drops the decaying
-envelopes and divides by nothing: it cannot overflow at any horizon or
-coupling, d = 0 included, and revivals keep their sign after the
-envelope underflows, so revival intervals run to the horizon.  Past
-the revival-free time t* of revival_free_after no revival occurs, so
-the measure scans the grid once, through its first sample past t*, and
-the whole grid only when t* is infinite.  Each boundary probe scans the
+The measure and the Markovian boundary take that sign from
+sigma_positive, a form in d and gamma that drops the decaying envelopes
+and divides by nothing: it cannot overflow at any horizon or coupling,
+d = 0 included, and revivals keep their sign after the envelope
+underflows, so revival intervals run to the horizon.  sign_map takes
+both the population's and the flux's slope sign from the same terms,
+so its flux map runs to the horizon too.  Past the revival-free time t*
+of revival_free_after no revival occurs, so the measure scans the grid
+once, through its first sample past t*, and the whole grid only when t*
+is infinite; each endpoint found is then refined by the same 17 halvings
+of its one-step bracket, a count in units of dt, so N does not change
+when every input is rescaled by gamma.  Each boundary probe scans the
 first SCAN_HEAD samples first and stops at a revival there; only probes
 without one scan the rest of the grid.
 """
@@ -40,7 +44,6 @@ from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
                        splitting, time_grid)
 from .files import write_csv
 
-ENDPOINT_TOL = 1e-8   # time tolerance of revival endpoint bisection
 EPS_N = 1e-10         # a measure above this counts as non-Markovian
 # largest |Im d| dt the measure accepts: 8 grid samples per period of
 # sigma's sign, whose angular frequency is |Im d| / 2
@@ -70,6 +73,21 @@ def sigma_values(params: ModelParams, t):
     return 2.0 * np.real(np.conj(c) * dc)
 
 
+def _sign_terms(params: ModelParams, t):
+    """(d, 2 Re(conj(d) s), |s|^2), with s = 1 - e^{-d t/2}: the signs of
+    sigma and of the flux slope are each one comparison of the last two.
+
+    s is taken in real parts from expm1, sin and cos (-d t/2 = y + 2ih,
+    s = -expm1(y) - 2i e^y sin(h) e^{ih}): it keeps its digits as d t -> 0.
+    """
+    d = splitting(params)
+    em, h = np.expm1(-0.5 * d.real * t), -0.25 * d.imag * t
+    sh = np.sin(h)
+    esh = (2.0 + 2.0 * em) * sh
+    re, im = esh * sh - em, esh * np.cos(h)     # s = re - i im
+    return d, 2.0 * d.real * re - 2.0 * d.imag * im, re * re + im * im
+
+
 def sigma_positive(params: ModelParams, t):
     """Boolean sigma(t) > 0, from sigma's sign alone.
 
@@ -83,19 +101,12 @@ def sigma_positive(params: ModelParams, t):
     which divides by nothing.  At d = 0, F = 0 and sigma is its limit
     -2 V^2 |c0|^2 t e^{-gamma t/2} (1 + gamma t/4) <= 0.  Re d >= 0
     keeps |u| <= 1, so nothing overflows at any horizon or coupling.
-    s is taken in real parts from expm1, sin and cos (-d t/2 = y + 2ih,
-    s = -expm1(y) - 2i e^y sin(h) e^{ih}): it keeps its digits as d t -> 0.
     """
     tt = np.asarray(t, dtype=float)
     if params.v == 0 or complex(params.c0_init) == 0:
         return np.zeros(tt.shape, dtype=bool)
-    d = splitting(params)
-    em, h = np.expm1(-0.5 * d.real * tt), -0.25 * d.imag * tt
-    sh = np.sin(h)
-    esh = (2.0 + 2.0 * em) * sh
-    re, im = esh * sh - em, esh * np.cos(h)     # s = re - i im
-    return (2.0 * d.real * re - 2.0 * d.imag * im
-            < (d.real - params.gamma) * (re * re + im * im))
+    d, a, q = _sign_terms(params, tt)
+    return a < (d.real - params.gamma) * q
 
 
 def revival_free_after(params: ModelParams) -> float:
@@ -129,15 +140,6 @@ def revival_free_after(params: ModelParams) -> float:
     return math.inf
 
 
-def mode_gain_values(params: ModelParams, t):
-    """B(t) = d(gamma |b(t)|^2)/dt, the flux time derivative, with
-    db/dt = -(gamma/2) b - i V e^{i delta t} c from the equation of motion."""
-    c, b = amplitudes_analytic(params, t)
-    phase = np.exp(-1j * params.delta * np.asarray(t, dtype=float))
-    db = -0.5 * params.gamma * b - 1j * params.v * np.conj(phase) * c
-    return 2.0 * params.gamma * np.real(np.conj(b) * db)
-
-
 @dataclass(frozen=True)
 class NMResult:
     """Non-Markovianity measure with the revival intervals found."""
@@ -158,9 +160,9 @@ def nm_measure(params: ModelParams, dt: float = DEFAULT_DT) -> NMResult:
     """Non-Markovianity measure over [0, params.t_max].
 
     Revival windows found by the strict sign of sigma on the grid, then
-    all endpoints refined together by one count of bisection steps, the
-    same at any scale; contributions telescoped from the closed-form
-    population at the endpoints.
+    all endpoints refined together by 17 halvings of their one-step
+    brackets, to dt / 2^17 whatever dt and gamma; contributions
+    telescoped from the closed-form population at the endpoints.
     Windows narrower than dt are below the grid resolution and not
     counted, and a dt with |Im d| dt >= RESOLUTION, which would miss
     whole revivals, raises ValueError.
@@ -172,13 +174,13 @@ def nm_measure(params: ModelParams, dt: float = DEFAULT_DT) -> NMResult:
     stop = np.searchsorted(times, revival_free_after(params), "right")
     pos = sigma_positive(params, times[:stop + 1])
     # sigma(0) = 0, so crossings alternate rising, falling, ...  Every
-    # bracket is one step wide: the halvings that take dt to ENDPOINT_TOL,
-    # one sign pass each, refine all; past float spacing one is a no-op.
+    # bracket is one step wide, and 17 halvings, one sign pass each,
+    # refine all to dt / 2^17 at any dt and scale: 7.6e-9 / gamma at the
+    # default dt = 1e-3 / gamma.  Past float spacing a halving is a no-op.
     edges = np.flatnonzero(pos[1:] != pos[:-1])
     lo, hi = times[edges], times[edges + 1]
     rising = pos[edges + 1]
-    halvings = math.ceil(math.log2(dt) - math.log2(ENDPOINT_TOL))
-    for _ in range(halvings if edges.size else 0):
+    for _ in range(17 if edges.size else 0):
         mid = 0.5 * (lo + hi)
         up = sigma_positive(params, mid) == rising
         lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
@@ -351,18 +353,32 @@ def sign_map(axis: str, fixed_value: float, param_values,
     """Sign maps of the population and flux derivatives.
 
     axis="delta" fixes V = fixed_value and scans detuning; axis="v"
-    fixes delta = fixed_value and scans coupling.
+    fixes delta = fixed_value and scans coupling.  Each row is one pass
+    of sigma_positive's terms, with no amplitude kernel: c_pos is
+    sigma_positive's test, and as the flux R = gamma |b|^2 is
+    4 gamma V^2 e^{(Re d - gamma) t/2} |s|^2 / |d|^2,
+
+        dR/dt > 0  <=>  2 Re(conj(d) s) > (Re d + gamma) |s|^2.
+
+    Where |s|^2 would underflow, |d| <= 1e-150 (gamma + |delta|), b_pos
+    is the d = 0 limit t (4 - gamma t) > 0.  Neither map carries the
+    decaying envelope, so both run to any horizon.
     """
     if axis not in ("delta", "v"):
         raise ValueError(f"axis must be 'delta' or 'v', got {axis!r}")
     param_values = np.asarray(param_values, dtype=float)
     times = time_grid(t_max, dt)[1:]
-    c_pos = np.empty((param_values.size, times.size), dtype=bool)
-    b_pos = np.empty_like(c_pos)
+    c_pos = np.zeros((param_values.size, times.size), dtype=bool)
+    b_pos = np.zeros_like(c_pos)
     for i, p in enumerate(param_values):
         v, delta = (fixed_value, p) if axis == "delta" else (p, fixed_value)
         params = ModelParams(v=v, delta=delta, gamma=gamma, t_max=t_max)
-        c_pos[i] = sigma_positive(params, times)
-        b_pos[i] = mode_gain_values(params, times) > 0.0
+        if v == 0:
+            continue        # no coupling: c stays 1 and no photon leaves
+        d, a, q = _sign_terms(params, times)
+        c_pos[i] = a < (d.real - gamma) * q
+        b_pos[i] = (times * (4.0 - gamma * times) > 0.0
+                    if abs(d) <= 1e-150 * (gamma + abs(delta))
+                    else a > (d.real + gamma) * q)
     return SignMap(axis=axis, fixed_value=fixed_value, times=times,
                    param_values=param_values, c_pos=c_pos, b_pos=b_pos)

@@ -195,20 +195,21 @@ def dominant_peak(spectrum: SpectrumResult) -> PeakEstimate:
     is reported.  prominence = peak-bin power / total power with the
     shoulder bins 1..k1-1 (and mirrors) excluded from the total, so a
     pure cosine still scores 1/2.  No prominence gating happens here.
-    Zero total power raises NoSignal, an overflowed one FloatingPointError.
+    Zero total power raises NoSignal; an overflowed one, or a NaN one
+    from a NaN bin, FloatingPointError.
     """
     p = spectrum.power
     kmax = p.size - 1
     if kmax < 1:
         raise NoSignal("spectrum has no nonzero-frequency bins")
     total = spectrum.total_power()
-    if total == np.inf:
-        raise FloatingPointError("spectrum's total power overflows")
+    if not total < np.inf:
+        raise FloatingPointError(f"spectrum's total power is {total}")
     if total == 0.0:
         raise NoSignal("detrended signal carries no power")
 
-    # first k >= 1 where p[k+1] < p[k] fails; a NaN bin stops the walk
-    stops = np.flatnonzero(~(p[2:] < p[1:-1]))
+    # first k >= 1 where p[k+1] < p[k] fails
+    stops = np.flatnonzero(p[2:] >= p[1:-1])
     k1 = int(stops[0]) + 1 if stops.size else kmax
     if k1 >= kmax:
         kp, k1 = 1, 1

@@ -358,10 +358,15 @@ class ResidualStats:
 
 def flux_residual_stats(estimate: FluxSeries,
                         analytic: FluxSeries) -> ResidualStats:
-    """Residual summary of a flux estimate against the analytic flux."""
+    """Residual summary of a flux estimate against the analytic flux.
+
+    The two must share a grid: times more than 1e-8 of the estimate's
+    grid step apart, at any scale, raise GridMismatch.
+    """
+    step = estimate.bin_width or estimate.dt
     if (estimate.times.size != analytic.times.size
             or not np.allclose(estimate.times, analytic.times,
-                               rtol=0.0, atol=1e-9)):
+                               rtol=0.0, atol=1e-8 * step)):
         raise GridMismatch("estimate and analytic grids differ")
     resid = estimate.values - analytic.values
     rms = float(np.sqrt(np.mean(resid ** 2)))

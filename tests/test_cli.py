@@ -188,6 +188,12 @@ def test_measure_gamma_invariance():
     assert d2["t_max"] == pytest.approx(d1["t_max"] / 2.0)
     assert d2["revival_intervals"][0][1] == pytest.approx(
         d1["revival_intervals"][0][1] / 2.0, rel=1e-6)
+    # at gamma = 1e200, 16 V^2 overflowed and the run exited 1
+    code, out3, err = run_cli("measure", "--v", "1", "--delta", "0",
+                              "--gamma", "1e200")
+    assert code == 0, err
+    assert json.loads(out3)["n_value"] == pytest.approx(d1["n_value"],
+                                                        rel=1e-12)
 
 
 def test_boundary_cli(tmp_path):

@@ -399,6 +399,19 @@ def test_grid_mismatch():
         flux_residual_stats(
             est, type(shifted)(times=shifted.times + 0.01,
                                values=shifted.values))
+    # at gamma = 1e10 the bins are 2e-11 wide: a shift of half a bin is
+    # off the grid, though below the old absolute tolerance of 1e-9
+    gamma = 1e10
+    params = ModelParams(v=gamma, delta=0.0, gamma=gamma,
+                         t_max=STRONG.t_max / gamma)
+    est = estimate_flux(params, 100, bin_width=0.2 / gamma, master_seed=0,
+                        dt=DEFAULT_DT / gamma)
+    analytic = analytic_flux_at_bins(params, est)
+    assert flux_residual_stats(est, analytic).rms > 0.0
+    with pytest.raises(GridMismatch):
+        flux_residual_stats(
+            est, type(analytic)(times=analytic.times + 0.1 / gamma,
+                                values=analytic.values))
 
 
 def test_residual_identity_and_no_counts():
