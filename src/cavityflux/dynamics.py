@@ -112,14 +112,20 @@ class ModelParams:
         return float(np.sqrt(max(0.0, 1.0 - abs(complex(self.c0_init)) ** 2)))
 
 
-def time_grid(t_max: float, dt: float) -> np.ndarray:
-    """Uniform grid 0, dt, 2 dt, ... covering [0, t_max]."""
+def grid_steps(t_max: float, dt: float) -> int:
+    """n of time_grid's samples 0, dt, ..., n dt: the grid's size, for
+    callers that need no grid."""
     require_finite("t_max", t_max, 0, strict=True)
     require_finite("dt", dt, 0, strict=True)
     n = int(round(t_max / dt))
     if n < 1:
         raise ValueError(f"dt={dt} too coarse for t_max={t_max}")
-    return np.arange(n + 1) * dt
+    return n
+
+
+def time_grid(t_max: float, dt: float) -> np.ndarray:
+    """Uniform grid 0, dt, 2 dt, ... covering [0, t_max]."""
+    return np.arange(grid_steps(t_max, dt) + 1) * dt
 
 
 def splitting(params: ModelParams) -> complex:

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
-                       amplitudes_analytic, require_finite, require_resolved,
-                       splitting, time_grid)
+                       amplitudes_analytic, grid_steps, require_finite,
+                       require_resolved, splitting, time_grid)
 from .files import write_csv
 
 EPS_N = 1e-10         # a measure above this counts as non-Markovian
@@ -73,9 +73,10 @@ def sigma_values(params: ModelParams, t):
     return 2.0 * np.real(np.conj(c) * dc)
 
 
-def _sign_terms(params: ModelParams, t):
-    """(d, 2 Re(conj(d) s), |s|^2), with s = 1 - e^{-d t/2}: the signs of
-    sigma and of the flux slope are each one comparison of the last two.
+def _sign_terms(params: ModelParams, t, unit: float = 1.0):
+    """(d, 2 Re(conj(d) s), |s|^2), with s = 1 - e^{-d t/2} and d in
+    units of unit: the signs of sigma and of the flux slope are each one
+    comparison of the last two.
 
     s is taken in real parts from expm1, sin and cos (-d t/2 = y + 2ih,
     s = -expm1(y) - 2i e^y sin(h) e^{ih}): it keeps its digits as d t -> 0.
@@ -85,6 +86,7 @@ def _sign_terms(params: ModelParams, t):
     sh = np.sin(h)
     esh = (2.0 + 2.0 * em) * sh
     re, im = esh * sh - em, esh * np.cos(h)     # s = re - i im
+    d /= unit
     return d, 2.0 * d.real * re - 2.0 * d.imag * im, re * re + im * im
 
 
@@ -168,11 +170,18 @@ def nm_measure(params: ModelParams, dt: float = DEFAULT_DT) -> NMResult:
     whole revivals, raises ValueError.
     """
     _require_unit_c0(params)
-    times = time_grid(params.t_max, dt)
+    n = grid_steps(params.t_max, dt)
     require_resolved(params, dt, RESOLUTION)
-    # one scan, through the first sample past t*: no revival starts later
-    stop = np.searchsorted(times, revival_free_after(params), "right")
-    pos = sigma_positive(params, times[:stop + 1])
+    # one scan, through the first sample past t*: no revival starts later.
+    # Only that prefix of time_grid is built.  int(t* / dt) - 1 is not
+    # past t*, as the quotient rounds by less than a step.
+    t_star, last = revival_free_after(params), n
+    if t_star < n * dt:
+        last = int(t_star / dt)
+        while last * dt <= t_star:
+            last += 1
+    times = np.arange(last + 1) * dt
+    pos = sigma_positive(params, times)
     # sigma(0) = 0, so crossings alternate rising, falling, ...  Every
     # bracket is one step wide, and 17 halvings, one sign pass each,
     # refine all to dt / 2^17 at any dt and scale: 7.6e-9 / gamma at the
@@ -187,7 +196,7 @@ def nm_measure(params: ModelParams, dt: float = DEFAULT_DT) -> NMResult:
     ends = (0.5 * (lo + hi)).tolist()
     if len(ends) % 2:
         # revival still running at the horizon: truncate at t_max
-        ends.append(float(times[-1]))
+        ends.append(n * dt)
     intervals = list(zip(ends[0::2], ends[1::2]))
 
     n_value = 0.0
@@ -360,9 +369,11 @@ def sign_map(axis: str, fixed_value: float, param_values,
 
         dR/dt > 0  <=>  2 Re(conj(d) s) > (Re d + gamma) |s|^2.
 
-    Where |s|^2 would underflow, |d| <= 1e-150 (gamma + |delta|), b_pos
-    is the d = 0 limit t (4 - gamma t) > 0.  Neither map carries the
-    decaying envelope, so both run to any horizon.
+    Both are taken with d and gamma in units of the power of two nearest
+    above gamma + |delta|, so neither side underflows at a small scale.
+    Where |s|^2 would, |d| <= 1e-150 (gamma + |delta|), b_pos is the
+    d = 0 limit t (4 - gamma t) > 0.  Neither map carries the decaying
+    envelope, so both run to any horizon.
     """
     if axis not in ("delta", "v"):
         raise ValueError(f"axis must be 'delta' or 'v', got {axis!r}")
@@ -375,10 +386,12 @@ def sign_map(axis: str, fixed_value: float, param_values,
         params = ModelParams(v=v, delta=delta, gamma=gamma, t_max=t_max)
         if v == 0:
             continue        # no coupling: c stays 1 and no photon leaves
-        d, a, q = _sign_terms(params, times)
-        c_pos[i] = a < (d.real - gamma) * q
+        unit = math.ldexp(1.0, math.frexp(gamma + abs(delta))[1])
+        d, a, q = _sign_terms(params, times, unit)
+        g = gamma / unit
+        c_pos[i] = a < (d.real - g) * q
         b_pos[i] = (times * (4.0 - gamma * times) > 0.0
-                    if abs(d) <= 1e-150 * (gamma + abs(delta))
-                    else a > (d.real + gamma) * q)
+                    if abs(d) <= 1e-150 * (g + abs(delta) / unit)
+                    else a > (d.real + g) * q)
     return SignMap(axis=axis, fixed_value=fixed_value, times=times,
                    param_values=param_values, c_pos=c_pos, b_pos=b_pos)

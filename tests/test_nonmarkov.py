@@ -625,6 +625,23 @@ def test_sign_map_zero_coupling_row():
     assert not smap.b_pos.any()
 
 
+@pytest.mark.parametrize("gamma", [1e-200, 1e-180])
+def test_sign_map_near_d_zero_at_a_small_scale(gamma):
+    # V = gamma/4 with the least subnormal detuning: |d| is 4.4e-162
+    # gamma at gamma = 1, the d = 0 limit, and 4.4e-62 gamma at gamma =
+    # 1e-200, where 2 Re(conj(d) s) in units of 1/time underflowed and
+    # b_pos read False over 9.8% of the flux's rise, t < 4/gamma
+    def rows(g):
+        smap = sign_map("v", 5e-324, [g / 4.0], t_max=14.0 / g,
+                        dt=1e-2 / g, gamma=g)
+        return smap.c_pos[0], smap.b_pos[0]
+
+    ref, got = rows(1.0), rows(gamma)
+    assert ref[1][:399].all() and not ref[1][399:].any()
+    assert_array_equal(got[0], ref[0])
+    assert_array_equal(got[1], ref[1])
+
+
 def test_sign_map_flux_rises_first():
     # the flux grows from zero, so B > 0 in the first time column
     smap = sign_map("v", 1.0, np.linspace(0.05, 1.2, 12), t_max=5.0)

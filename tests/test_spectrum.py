@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cavityflux import dynamics, nonmarkov
+from cavityflux import dynamics, nonmarkov, spectrum
 from cavityflux.dynamics import (DEFAULT_DT, DEFAULT_T_MAX, FluxSeries,
                                  ModelParams, amplitudes_analytic,
                                  photon_flux_analytic, splitting, time_grid)
@@ -430,10 +430,11 @@ def test_weak_flux_is_not_zero_flux():
         assert verdict.omega_peak == pytest.approx(grid.omega_peak, rel=1e-9)
 
 
-@pytest.mark.parametrize("gamma", [1e-150, 1e-100, 1e100, 1e150])
+@pytest.mark.parametrize("gamma", [1e-150, 1e-100, 1e100, 1e150, 1e152])
 def test_closed_form_spectrum_at_extreme_gamma(scaled_point, gamma):
-    # the power grows as gamma^2, and every factor of the closed form
-    # stays in float range from gamma = 1e-152 to 1e150
+    # every factor of the closed form stays in float range from gamma =
+    # 1e-152 upwards; the power grows as gamma^2 and overflows past 1e150,
+    # but classify searches it free of that scale
     def run(g):
         params, dt = scaled_point(2.0, 2.0, g)
         return classify(params, 1.817 * g, dt=dt)
@@ -447,10 +448,77 @@ def test_closed_form_spectrum_at_extreme_gamma(scaled_point, gamma):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("gamma", [1e-155, 1e152])
 def test_spectrum_out_of_float_range_raises(scaled_point, gamma):
-    # below, f's t^2 overflows to NaN; above, the total power overflows
+    # below, f's t^2 overflows to NaN, and classify refuses too; above,
+    # the total power overflows, which classify's scale-free search does
+    # not reach (its row is in test_closed_form_spectrum_at_extreme_gamma)
     params, dt = scaled_point(2.0, 2.0, gamma)
     with pytest.raises(ArithmeticError):
-        classify(params, 1.817 * gamma, dt=dt)
+        dominant_peak(analytic_spectrum(params, dt))
+    if gamma < 1.0:
+        with pytest.raises(FloatingPointError):
+            classify(params, 1.817 * gamma, dt=dt)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1e-4, 0.1, 10.0])
+def test_classify_at_a_subnormal_power(scaled_point, gamma):
+    # at V = 9.95e-81 gamma the flux power is near 1e-315 gamma^2, below
+    # the normal range: searched at that scale, gamma = 1e-4 read
+    # MarkovianConsistent with omega_peak 1.79507 gamma
+    def run(g):
+        params, dt = scaled_point(9.95e-81, 2.0, g)
+        return classify(params, 1.817 * g, dt=dt)
+
+    ref, got = run(1.0), run(gamma)
+    assert ref.label == "NonMarkovianDetected"
+    assert got.label == ref.label
+    assert got.omega_peak / gamma == pytest.approx(ref.omega_peak, rel=1e-11)
+    assert got.prominence == pytest.approx(ref.prominence, rel=1e-11)
+
+
+@settings(max_examples=150)
+@example(point=(0.25, 0.0), horizon=(14.0, 1e-3))       # d = 0
+@given(point=SPECTRUM_POINTS,
+       horizon=st.sampled_from([(14.0, 1e-3), (0.5, 1e-3), (300.0, 1e-2)]))
+def test_lazy_peak_matches_every_bin(point, horizon):
+    # classify reads a prefix of the bins, the closed-form total and a
+    # bound on the bins it skips; dominant_peak reads every bin
+    params = ModelParams(v=point[0], delta=point[1], t_max=horizon[0])
+    lazy = spectrum._analytic_peak(params, horizon[1])
+    full = dominant_peak(analytic_spectrum(params, horizon[1]))
+    assert (lazy.k_peak, lazy.k_valley) == (full.k_peak, full.k_valley)
+    assert lazy.omega_peak == pytest.approx(full.omega_peak, rel=1e-12)
+    assert lazy.prominence == pytest.approx(full.prominence, rel=1e-11)
+
+
+@settings(max_examples=100)
+@given(point=SPECTRUM_POINTS,
+       horizon=st.sampled_from([(14.0, 1e-3), (0.5, 1e-3), (300.0, 1e-2)]),
+       start=st.floats(0.0, 1.0))
+def test_tail_bound_covers_the_bins_left(point, horizon, start):
+    # the certificate classify stops on: no bin from k0 on exceeds
+    # tail(k0)
+    params = ModelParams(v=point[0], delta=point[1], t_max=horizon[0])
+    n = round(horizon[0] / horizon[1]) + 1
+    bins, tail = spectrum._shape_dft(params, n, horizon[1])
+    size = np.abs(bins(np.arange(1, n // 2 + 1)))
+    k0 = 1 + round(start * (n // 2 - 1))
+    assert tail(k0) >= size[k0 - 1:].max()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("v, c0, gamma, error", [
+    (0.0, 1.0, 1.0, NoSignal),
+    (1.0, 0.0, 1.0, NoSignal),
+    (2.0e-155, 1.0, 1e-155, FloatingPointError),
+], ids=["v", "c0", "nan"])
+def test_lazy_peak_refuses_as_every_bin_does(v, c0, gamma, error):
+    params = ModelParams(v=v, delta=2.0 * gamma, gamma=gamma, c0_init=c0,
+                         t_max=DEFAULT_T_MAX / gamma)
+    dt = DEFAULT_DT / gamma
+    with pytest.raises(error):
+        spectrum._analytic_peak(params, dt)
+    with pytest.raises(error):
+        dominant_peak(analytic_spectrum(params, dt))
 
 
 def test_verdict_serialization():

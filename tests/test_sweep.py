@@ -6,10 +6,12 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cavityflux import sweep
-from cavityflux.dynamics import ModelParams
+from cavityflux.dynamics import DEFAULT_DT, DEFAULT_T_MAX, ModelParams
 from cavityflux.nonmarkov import markovian_boundary, nm_measure
 from cavityflux.spectrum import classify
 from cavityflux.sweep import (
@@ -111,6 +113,37 @@ def test_sweep_in_units_of_gamma():
         assert cell["verdict"] == ref["verdict"]
         assert cell["n_value"] == pytest.approx(ref["n_value"], rel=0,
                                                 abs=1e-9)
+
+
+@settings(max_examples=100)
+@given(v=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 2.0)),
+       delta=st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 3.0)),
+       log_gamma=st.floats(-12.0, 3.0))
+def test_sweep_gamma_invariance(v, delta, log_gamma):
+    # a 2x2 grid (V and delta windows in units of gamma, as lower end
+    # and width) at a fixed threshold, every rate times gamma and every
+    # time over gamma: the same cells
+    def sweep(gamma):
+        return list(run_sweep(_config(
+            v_min=v[0] * gamma, v_max=(v[0] + v[1]) * gamma, v_count=2,
+            delta_min=delta[0] * gamma,
+            delta_max=(delta[0] + delta[1]) * gamma, delta_count=2,
+            gamma=gamma, t_max=DEFAULT_T_MAX / gamma,
+            dt=DEFAULT_DT / gamma,
+            omega_threshold=OMEGA_M * gamma)).iter_cells())
+
+    gamma = 10.0 ** log_gamma
+    for cell, ref in zip(sweep(gamma), sweep(1.0), strict=True):
+        assert cell["verdict"] == ref["verdict"]
+        assert cell["n_value"] == pytest.approx(ref["n_value"], rel=1e-9,
+                                                abs=1e-12)
+        if ref["omega_peak"] is None:       # zero flux at V = 0
+            assert cell["omega_peak"] is None
+        else:
+            assert cell["omega_peak"] / gamma == pytest.approx(
+                ref["omega_peak"], rel=1e-11)
+        assert cell["prominence"] == pytest.approx(ref["prominence"],
+                                                   rel=1e-11)
 
 
 def test_ground_truth_flips_at_resonant_threshold():
