@@ -29,9 +29,8 @@ from .files import write_csv
 from .nonmarkov import (BOUNDARY_DT, BOUNDARY_T_MAX, BOUNDARY_TOL_V,
                         BOUNDARY_V_SEARCH, EPS_N, markovian_boundary,
                         nm_measure)
-from .spectrum import (DEFAULT_MIN_PROMINENCE, EmptyRegion, NoSignal,
-                       analytic_spectrum, classify, dominant_peak,
-                       threshold_frequency)
+from .spectrum import (DEFAULT_MIN_PROMINENCE, EmptyRegion,
+                       analytic_spectrum, classify, threshold_frequency)
 from .sweep import SweepConfig, figure_datasets, run_sweep
 from .trajectories import (DEFAULT_BIN_WIDTH, analytic_flux_at_bins,
                            estimate_flux, flux_residual_stats,
@@ -199,13 +198,18 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    spec = analytic_spectrum(_params(args), args.dt)
-    try:     # the peak first, so a spectrum out of float range writes nothing
-        peak = dominant_peak(spec)
-        line = (f"omega_peak = {peak.omega_peak:.6g}, "
-                f"prominence = {peak.prominence:.6g}")
-    except NoSignal:
-        line = "no signal: flux carries no detrended power"
+    params = _params(args)
+    spec = analytic_spectrum(params, args.dt)
+    total = spec.total_power()
+    if not total < np.inf:      # out of float range: write nothing
+        raise FloatingPointError(f"spectrum's total power is {total}")
+    # the line as classify reads it, free of the flux's scale, so it does
+    # not move with gamma where the power goes subnormal
+    verdict = classify(params, 0.0, dt=args.dt)
+    line = ("no signal: flux carries no detrended power"
+            if verdict.omega_peak is None
+            else f"omega_peak = {verdict.omega_peak:.6g}, "
+                 f"prominence = {verdict.prominence:.6g}")
     spec.to_csv(args.out)
     print(line)
     print(f"wrote {args.out}")

@@ -24,7 +24,12 @@ of revival_free_after no revival occurs, so the measure scans the grid
 once, through its first sample past t*, and the whole grid only when t*
 is infinite; each endpoint found is then refined by the same 17 halvings
 of its one-step bracket, a count in units of dt, so N does not change
-when every input is rescaled by gamma.  Each boundary probe scans the
+when every input is rescaled by gamma.  The scan reads one sign per
+stride of STRIDE samples where a bound on the slope of sigma's sign
+form certifies it for the whole stride, and tests every sample of the
+other strides; the halvings run as bisection trees, one sign pass per
+HALVING_PASSES entry.  Both give the plain grid scan's and the one-by-
+one halvings' results to the bit.  Each boundary probe scans the
 first SCAN_HEAD samples first and stops at a revival there; only probes
 without one scan the rest of the grid.
 """
@@ -48,6 +53,11 @@ EPS_N = 1e-10         # a measure above this counts as non-Markovian
 # largest |Im d| dt the measure accepts: 8 grid samples per period of
 # sigma's sign, whose angular frequency is |Im d| / 2
 RESOLUTION = math.pi / 2
+# samples per stride of the measure's sign scan, whose first sample and
+# a bound on the slope of sigma's sign form certify one sign for all
+STRIDE = 64
+# levels of the endpoints' halving tree per sign pass: 17 halvings
+HALVING_PASSES = (6, 6, 5)
 
 # boundary defaults, in units of gamma
 BOUNDARY_V_SEARCH = (0.05, 1.2)
@@ -73,15 +83,14 @@ def sigma_values(params: ModelParams, t):
     return 2.0 * np.real(np.conj(c) * dc)
 
 
-def _sign_terms(params: ModelParams, t, unit: float = 1.0):
-    """(d, 2 Re(conj(d) s), |s|^2), with s = 1 - e^{-d t/2} and d in
-    units of unit: the signs of sigma and of the flux slope are each one
-    comparison of the last two.
+def _sign_terms(d: complex, t, unit: float = 1.0):
+    """(d, 2 Re(conj(d) s), |s|^2) for the splitting d, with s = 1 -
+    e^{-d t/2} and d in units of unit: the signs of sigma and of the
+    flux slope are each one comparison of the last two.
 
     s is taken in real parts from expm1, sin and cos (-d t/2 = y + 2ih,
     s = -expm1(y) - 2i e^y sin(h) e^{ih}): it keeps its digits as d t -> 0.
     """
-    d = splitting(params)
     em, h = np.expm1(-0.5 * d.real * t), -0.25 * d.imag * t
     sh = np.sin(h)
     esh = (2.0 + 2.0 * em) * sh
@@ -104,10 +113,14 @@ def sigma_positive(params: ModelParams, t):
     -2 V^2 |c0|^2 t e^{-gamma t/2} (1 + gamma t/4) <= 0.  Re d >= 0
     keeps |u| <= 1, so nothing overflows at any horizon or coupling.
     """
-    tt = np.asarray(t, dtype=float)
+    return _positive(params, splitting(params), np.asarray(t, dtype=float))
+
+
+def _positive(params: ModelParams, d: complex, t):
+    """sigma_positive at the float times t, given d = splitting(params)."""
     if params.v == 0 or complex(params.c0_init) == 0:
-        return np.zeros(tt.shape, dtype=bool)
-    d, a, q = _sign_terms(params, tt)
+        return np.zeros(t.shape, dtype=bool)
+    d, a, q = _sign_terms(d, t)
     return a < (d.real - params.gamma) * q
 
 
@@ -131,7 +144,10 @@ def revival_free_after(params: ModelParams) -> float:
     stay below tau / 50, eps being 2.2e-16.  1e-9 (gamma + Re d) would
     not do: it is ~gamma / 8V of |d + g| + |d - g| for V >> gamma.
     """
-    d = splitting(params)
+    return _revival_free_after(params, splitting(params))
+
+
+def _revival_free_after(params: ModelParams, d: complex) -> float:
     if d == 0 or params.v == 0 or complex(params.c0_init) == 0:
         return 0.0
     gamma, g = params.gamma, params.gamma + 2j * params.delta
@@ -158,6 +174,93 @@ def _require_unit_c0(params):
             f"measure requires c(0) = 1, got {params.c0_init}")
 
 
+def _stride_signs(params: ModelParams, d: complex, last: int, dt: float):
+    """(positive, sure) per stride of STRIDE samples of the grid k dt,
+    k = 0 .. last: sigma_positive at the stride's first sample, and
+    whether that sign holds at every sample of the stride.  For V > 0,
+    where sigma_positive is F's sign test (at V = 0 it is False, and
+    the measure's scan ends at dt).
+
+    F = (gamma + Re d) + (gamma - Re d) r^2 + Re((2i Im d - 2 gamma) u),
+    sigma_positive's form in u = e^{-d t/2}, r = |u|, has |F'| <= L =
+    Re d |gamma - Re d| r^2 + |2i Im d - 2 gamma| |d| r / 2, and r
+    decreases, so L at a stride's first sample t_s bounds |F'| over the
+    stride.  Where |F(t_s)| > L (t_e - t_s)(1 + 1e-6) + 2 tau, tau being
+    revival_free_after's rounding bound, F keeps its sign, and the
+    sign's computed test with it, through the stride's last sample t_e.
+    F(0) = 0, so the first stride is never sure, nor are strides near
+    d = 0, where F is tiny.  F is taken with sigma_positive's float
+    operations, and the bound with d, gamma and g in units of the power
+    of two above gamma + |delta| + |d|, so none of its terms leaves
+    float range at any scale.
+    """
+    start = np.arange(0, last + 1, STRIDE)
+    t_s = start * dt
+    gamma = params.gamma
+    unit = math.ldexp(1.0, math.frexp(gamma + abs(params.delta) + abs(d))[1])
+    du, a, q = _sign_terms(d, t_s, unit)
+    gu, gg = gamma / unit, (gamma + 2j * params.delta) / unit
+    b = (du.real - gu) * q
+    r = np.exp(-0.5 * d.real * t_s)
+    slope = (du.real * abs(gu - du.real) * r * r
+             + abs(2j * du.imag - 2.0 * gu) * abs(du) * 0.5 * r)
+    span = (np.minimum(start + (STRIDE - 1), last) * dt - t_s) * unit
+    tau = 1e-9 * (abs(du + gg) + abs(du - gg))
+    return a < b, np.abs(a - b) > slope * span * (1.0 + 1e-6) + 2.0 * tau
+
+
+def _grid_signs(params: ModelParams, d: complex, last: int, dt: float):
+    """sigma_positive on the grid k dt, k = 0 .. last: each sure stride
+    takes its first sample's sign (_stride_signs), and every sample of
+    the other strides, or of a grid of at most 2 STRIDE samples, goes
+    through sigma_positive's test in one pass.  So the result is the
+    plain grid scan's to the bit."""
+    k = np.arange(last + 1)
+    if last < 2 * STRIDE:
+        return _positive(params, d, k * dt)
+    positive, sure = _stride_signs(params, d, last, dt)
+    pos = np.repeat(positive, STRIDE)[:last + 1]
+    unsure = np.repeat(~sure, STRIDE)[:last + 1]
+    pos[unsure] = _positive(params, d, k[unsure] * dt)
+    return pos
+
+
+def _halve(params: ModelParams, d: complex, lo, hi, rising):
+    """17 halvings of each bracket (lo, hi) toward the sign change of
+    sigma_positive, rising where it turns True, in HALVING_PASSES passes.
+
+    Each pass builds a bisection tree of 2^levels + 1 nodes per bracket,
+    each node 0.5 (left + right) of its parent's ends: exactly the
+    midpoints that one halving after another would take.  One sign pass
+    over every node, then the halvings' decisions replayed down the tree,
+    give the sequential halvings' brackets to the bit.
+    """
+    rows = np.arange(lo.size)
+    for levels in HALVING_PASSES:
+        width = 1 << levels
+        nodes = np.empty((lo.size, width + 1))
+        nodes[:, 0], nodes[:, width] = lo, hi
+        step = width
+        while step > 1:
+            mid = nodes[:, step // 2::step]
+            np.add(nodes[:, :-1:step], nodes[:, step::step], out=mid)
+            mid *= 0.5
+            step //= 2
+        # keep[i][j - 1]: bracket i's halving at node j keeps its left half
+        keep = (_positive(params, d, nodes[:, 1:-1])
+                == rising[:, None]).tolist()
+        left = []
+        for row in keep:
+            at, half = 0, width // 2
+            while half:
+                at += 0 if row[at + half - 1] else half
+                half //= 2
+            left.append(at)
+        left = np.array(left)
+        lo, hi = nodes[rows, left], nodes[rows, left + 1]
+    return lo, hi
+
+
 def nm_measure(params: ModelParams, dt: float = DEFAULT_DT) -> NMResult:
     """Non-Markovianity measure over [0, params.t_max].
 
@@ -168,32 +271,37 @@ def nm_measure(params: ModelParams, dt: float = DEFAULT_DT) -> NMResult:
     Windows narrower than dt are below the grid resolution and not
     counted, and a dt with |Im d| dt >= RESOLUTION, which would miss
     whole revivals, raises ValueError.
+
+    The grid is read STRIDE samples at a time: a stride whose first
+    sample and a bound on the slope of sigma's sign form certify one
+    sign takes it, and the samples of every other stride are tested one
+    by one (_grid_signs).  The halvings run as a bisection tree in three
+    sign passes (_halve).  Both give the plain grid scan's and the one-
+    by-one halvings' results to the bit.
     """
     _require_unit_c0(params)
     n = grid_steps(params.t_max, dt)
     require_resolved(params, dt, RESOLUTION)
+    d = splitting(params)
     # one scan, through the first sample past t*: no revival starts later.
-    # Only that prefix of time_grid is built.  int(t* / dt) - 1 is not
-    # past t*, as the quotient rounds by less than a step.
-    t_star, last = revival_free_after(params), n
+    # int(t* / dt) - 1 is not past t*, as the quotient rounds by less
+    # than a step.
+    t_star, last = _revival_free_after(params, d), n
     if t_star < n * dt:
         last = int(t_star / dt)
         while last * dt <= t_star:
             last += 1
-    times = np.arange(last + 1) * dt
-    pos = sigma_positive(params, times)
+    pos = _grid_signs(params, d, last, dt)
     # sigma(0) = 0, so crossings alternate rising, falling, ...  Every
-    # bracket is one step wide, and 17 halvings, one sign pass each,
-    # refine all to dt / 2^17 at any dt and scale: 7.6e-9 / gamma at the
-    # default dt = 1e-3 / gamma.  Past float spacing a halving is a no-op.
+    # bracket is one step wide, and 17 halvings refine all to dt / 2^17
+    # at any dt and scale: 7.6e-9 / gamma at the default dt = 1e-3 /
+    # gamma.  Past float spacing a halving is a no-op.
     edges = np.flatnonzero(pos[1:] != pos[:-1])
-    lo, hi = times[edges], times[edges + 1]
-    rising = pos[edges + 1]
-    for _ in range(17 if edges.size else 0):
-        mid = 0.5 * (lo + hi)
-        up = sigma_positive(params, mid) == rising
-        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-    ends = (0.5 * (lo + hi)).tolist()
+    ends = []
+    if edges.size:
+        lo, hi = _halve(params, d, edges * dt, (edges + 1) * dt,
+                        pos[edges + 1])
+        ends = (0.5 * (lo + hi)).tolist()
     if len(ends) % 2:
         # revival still running at the horizon: truncate at t_max
         ends.append(n * dt)
@@ -387,7 +495,7 @@ def sign_map(axis: str, fixed_value: float, param_values,
         if v == 0:
             continue        # no coupling: c stays 1 and no photon leaves
         unit = math.ldexp(1.0, math.frexp(gamma + abs(delta))[1])
-        d, a, q = _sign_terms(params, times, unit)
+        d, a, q = _sign_terms(splitting(params), times, unit)
         g = gamma / unit
         c_pos[i] = a < (d.real - g) * q
         b_pos[i] = (times * (4.0 - gamma * times) > 0.0

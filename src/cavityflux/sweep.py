@@ -24,7 +24,7 @@ from .nonmarkov import (EPS_N, markovian_boundary, parallel_map,
                         resolve_workers, sign_map)
 from .nonmarkov import nm_measure  # noqa: F401  (perfbench rebinds it here)
 from .spectrum import (DEFAULT_MIN_PROMINENCE, analytic_spectrum, classify,
-                       coherent_frequency, dominant_peak, threshold_frequency)
+                       coherent_frequency, threshold_frequency)
 from .trajectories import DEFAULT_BIN_WIDTH, estimate_flux, trajectory_seed
 
 FIGURE_IDS = (1, 2, 3, 4)
@@ -312,9 +312,10 @@ def figure_datasets(figure_id: int, out_dir) -> list:
             path = out / f"spectrum_d{delta:g}_v{v:g}.csv"
             spec.to_csv(path)
             paths.append(path)
-            peak = dominant_peak(spec)
-            peaks[f"d{delta:g}_v{v:g}"] = {"omega_peak": peak.omega_peak,
-                                           "prominence": peak.prominence}
+            # the line as classify reads it, free of the flux's scale
+            verdict = classify(params, 0.0, dt=FIG_DT)
+            peaks[f"d{delta:g}_v{v:g}"] = {"omega_peak": verdict.omega_peak,
+                                           "prominence": verdict.prominence}
         ppath = out / "peaks.json"
         write_json(ppath, peaks)
         paths.append(ppath)

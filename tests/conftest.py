@@ -1,7 +1,8 @@
 """Shared fixtures: acceptance-criterion reporting, the RK4 reference,
-the amplitude derivatives, the reference jump-time bisection and the
-gamma-scaled point; the one hypothesis profile of the property tests;
-and the import path of the CLI tests' child interpreters."""
+the amplitude derivatives, the reference jump-time bisection, the plain
+reference measure and the gamma-scaled point; the one hypothesis profile
+of the property tests; and the import path of the CLI tests' child
+interpreters."""
 
 import cmath
 import os
@@ -11,7 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from cavityflux.dynamics import ModelParams, amplitudes_analytic
+from cavityflux.dynamics import (ModelParams, amplitudes_analytic,
+                                 grid_steps, require_resolved)
+from cavityflux.nonmarkov import (RESOLUTION, NMResult, revival_free_after,
+                                  sigma_positive)
 from cavityflux.trajectories import survival_at
 
 # the CLI tests' child interpreters import the package from src, as
@@ -125,6 +129,47 @@ def bisection_reference():
     """Jump times by plain bisection, as bisection_reference(params,
     times, n2, us, tol)."""
     return _bisection_reference
+
+
+def _plain_measure(params, dt):
+    """Test-local measure by the plain grid scan: sigma_positive over
+    every sample 0, dt, ..., through the first sample past t*, then 17
+    one-by-one halvings of every one-step bracket, one sign pass each,
+    and the populations telescoped at the endpoints."""
+    assert complex(params.c0_init) == 1.0
+    n = grid_steps(params.t_max, dt)
+    require_resolved(params, dt, RESOLUTION)
+    t_star, last = revival_free_after(params), n
+    if t_star < n * dt:
+        last = int(t_star / dt)
+        while last * dt <= t_star:
+            last += 1
+    times = np.arange(last + 1) * dt
+    pos = sigma_positive(params, times)
+    edges = np.flatnonzero(pos[1:] != pos[:-1])
+    lo, hi, rising = times[edges], times[edges + 1], pos[edges + 1]
+    for _ in range(17 if edges.size else 0):
+        mid = 0.5 * (lo + hi)
+        up = sigma_positive(params, mid) == rising
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    ends = (0.5 * (lo + hi)).tolist()
+    if len(ends) % 2:
+        ends.append(n * dt)
+    n_value = 0.0
+    if ends:
+        c, _ = amplitudes_analytic(params, np.array(ends))
+        for k in range(0, len(ends), 2):
+            n_value += abs(complex(c[k + 1])) ** 2 - abs(complex(c[k])) ** 2
+    return NMResult(n_value=max(n_value, 0.0),
+                    revival_intervals=list(zip(ends[0::2], ends[1::2])),
+                    t_max=params.t_max, dt=dt)
+
+
+@pytest.fixture(scope="session")
+def plain_measure():
+    """The measure by the plain grid scan and one-by-one halvings, as
+    plain_measure(params, dt) -> NMResult."""
+    return _plain_measure
 
 
 def _scaled_point(v, delta, gamma):

@@ -229,6 +229,18 @@ def test_spectrum_cli(tmp_path):
     assert data.dtype.names == ("omega", "power")
 
 
+@pytest.mark.parametrize("gamma, line", [
+    ("1", "omega_peak = 1.92118, "), ("1e-4", "omega_peak = 0.000192118, ")])
+def test_spectrum_cli_peak_at_a_subnormal_power(gamma, line, tmp_path,
+                                                 capsys):
+    # the flux power goes as gamma^2 V^4 and is subnormal here; the line
+    # is read free of that scale, so it is 1.92118 gamma at every gamma
+    # (the scaled power's peak read 1.79507 gamma at gamma = 1e-4)
+    assert cli.main(["spectrum", "--v", "9.95e-81", "--delta", "2",
+                     "--gamma", gamma, "--out", str(tmp_path / "s.csv")]) == 0
+    assert capsys.readouterr().out.startswith(line)
+
+
 def test_spectrum_cli_no_signal(tmp_path):
     out = tmp_path / "spec.csv"
     code, stdout, _ = run_cli("spectrum", "--v", "0", "--delta", "0",

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -16,7 +16,9 @@ from cavityflux.dynamics import (ModelParams, amplitudes_analytic, flux_at,
 from cavityflux.nonmarkov import (
     BOUNDARY_DT,
     BOUNDARY_T_MAX,
+    HALVING_PASSES,
     RESOLUTION,
+    STRIDE,
     BoundaryCurve,
     UnsupportedInitialState,
     markovian_boundary,
@@ -275,47 +277,134 @@ def test_revival_scan_covers_the_grid_once(monkeypatch):
     assert len(scanned) == 1
 
 
-def test_measure_scans_through_the_first_sample_past_t_star(monkeypatch):
-    scanned = _record_scans(monkeypatch)
+def _record_measure(monkeypatch):
+    """nm_measure with the times at which it reads sigma's sign, as
+    measure(params, dt) -> (result, reads); each read is ("stride", t)
+    for the stride certificate's first samples, ("scan", t) for the sign
+    test on grid samples, or ("halving", t) for a halving pass's tree
+    nodes, one row per bracket."""
+    seen = []
+    positive, strides = nonmarkov._positive, nonmarkov._stride_signs
+
+    def recording_positive(params, d, t):
+        seen.append(("scan" if np.ndim(t) == 1 else "halving", np.array(t)))
+        return positive(params, d, t)
+
+    def recording_strides(params, d, last, dt):
+        seen.append(("stride", np.arange(0, last + 1, STRIDE) * dt))
+        return strides(params, d, last, dt)
+
+    monkeypatch.setattr(nonmarkov, "_positive", recording_positive)
+    monkeypatch.setattr(nonmarkov, "_stride_signs", recording_strides)
+
+    def measure(params, dt=1e-3):
+        seen.clear()
+        result = nm_measure(params, dt)
+        return result, list(seen)
+
+    return measure
+
+
+def _read(reads, kind):
+    return [t for k, t in reads if k == kind]
+
+
+def test_measure_scans_through_the_first_sample_past_t_star(monkeypatch,
+                                                            plain_measure):
+    # the stride scan equals the plain scan to the bit, reads no sample
+    # past the first grid sample after t*, and tiles the grid through it
+    measure = _record_measure(monkeypatch)
+    times = time_grid(14.0, 1e-3)
+
+    def through(params):
+        # the grid samples through the first one past t*
+        k = np.searchsorted(times, revival_free_after(params), side="right")
+        return times[:k + 1]
+
     # d = 0.6 real: t* = 2 ln(3/2) / 0.6, well inside the horizon
     params = ModelParams(v=0.2, delta=0.0)
     t_star = revival_free_after(params)
     assert t_star == pytest.approx(2.0 * math.log(1.5) / 0.6, rel=1e-8)
-    assert nm_measure(params).revival_intervals == []
-    times = time_grid(params.t_max, 1e-3)
-    (grid,) = scanned
+    result, reads = measure(params)
+    assert repr(result) == repr(plain_measure(params, 1e-3))
+    assert result.revival_intervals == []
+    grid = through(params)
     assert grid[-2] <= t_star < grid[-1]
-    assert_array_equal(grid, times[:grid.size])
-    # revivals before t* = 11.3: one bounded scan, then one midpoint per
-    # endpoint in each bisection step
-    scanned.clear()
+    (starts,) = _read(reads, "stride")
+    assert_array_equal(starts, grid[::STRIDE])
+    scanned = np.concatenate(_read(reads, "scan"))
+    assert np.isin(scanned, grid).all()
+    # the certificate holds past the first stride, where F(0) = 0
+    assert scanned.size < grid.size / 4
+    # revivals before t* = 11.3: the halvings read only nodes inside the
+    # brackets, none past the scan's end
     params = ModelParams(v=2.0, delta=2.0)
-    t_star = revival_free_after(params)
-    assert len(nm_measure(params).revival_intervals) == 8
-    assert scanned[0][-2] <= t_star < scanned[0][-1]
-    assert all(grid.size <= 16 for grid in scanned[1:])
-    # d imaginary: t* is infinite, and the scan covers the whole grid
-    scanned.clear()
+    result, reads = measure(params)
+    assert repr(result) == repr(plain_measure(params, 1e-3))
+    assert len(result.revival_intervals) == 8
+    grid = through(params)
+    assert grid[-2] <= revival_free_after(params) < grid[-1]
+    assert_array_equal(_read(reads, "stride")[0], grid[::STRIDE])
+    assert np.isin(np.concatenate(_read(reads, "scan")), grid).all()
+    assert max(t.max() for _, t in reads) <= grid[-1]
+    # d imaginary: t* is infinite, and the strides tile the whole grid
     params = ModelParams(v=1.0, delta=0.0)
     assert revival_free_after(params) == math.inf
-    nm_measure(params)
-    assert_array_equal(scanned[0], times)
-    # no coupling: t* = 0, and the scan ends at the first sample
-    scanned.clear()
+    result, reads = measure(params)
+    assert repr(result) == repr(plain_measure(params, 1e-3))
+    assert_array_equal(_read(reads, "stride")[0], times[::STRIDE])
+    # no coupling: t* = 0, and the scan reads the first two samples alone
     params = ModelParams(v=0.0, delta=0.3)
     assert revival_free_after(params) == 0.0
-    nm_measure(params)
-    assert_array_equal(scanned[0], times[:2])
+    result, reads = measure(params)
+    assert repr(result) == repr(plain_measure(params, 1e-3))
+    assert [k for k, _ in reads] == ["scan"]
+    assert_array_equal(reads[0][1], times[:2])
+
+
+def _tree(lo, hi, levels):
+    # in order, the midpoints that levels halvings of (lo, hi) can take
+    if not levels:
+        return []
+    mid = 0.5 * (lo + hi)
+    return _tree(lo, mid, levels - 1) + [mid] + _tree(mid, hi, levels - 1)
 
 
 @pytest.mark.parametrize("dt", [1e-3, 1e-2, 5e-4, 1e-4, 1e-3 / 0.3])
-def test_measure_halves_every_bracket_one_count(dt, monkeypatch):
-    # 17 halvings at every dt, each one sign pass over all four endpoints
-    scanned = _record_scans(monkeypatch)
+def test_measure_halves_every_bracket_one_count(dt, monkeypatch,
+                                                plain_measure):
+    # 17 halvings at every dt in HALVING_PASSES sign passes, each over the
+    # bisection trees of the brackets that the halvings before it left
     params = ModelParams(v=2.0, delta=2.0, t_max=3.0)
-    assert len(nm_measure(params, dt).revival_intervals) == 2
-    assert len(scanned) == 1 + 17
-    assert all(grid.size == 4 for grid in scanned[1:])
+    result, reads = _record_measure(monkeypatch)(params, dt)
+    assert repr(result) == repr(plain_measure(params, dt))
+    assert len(result.revival_intervals) == 2
+    passes = _read(reads, "halving")
+    assert [t.shape for t in passes] == [(4, 2 ** k - 1)
+                                         for k in HALVING_PASSES]
+    assert sum(HALVING_PASSES) == 17
+    # the brackets, one halving at a time, from the grid's one-step ones
+    times = time_grid(params.t_max, dt)
+    pos = sigma_positive(params, times)
+    edges = np.flatnonzero(pos[1:] != pos[:-1])
+    brackets = [(times[e], times[e + 1], pos[e + 1]) for e in edges]
+    for levels, nodes in zip(HALVING_PASSES, passes):
+        assert_array_equal(nodes, [_tree(lo, hi, levels)
+                                   for lo, hi, _ in brackets])
+        brackets = [_halved(params, *bracket, levels) for bracket in brackets]
+    ends = [0.5 * (lo + hi) for lo, hi, _ in brackets]
+    assert result.revival_intervals == list(zip(ends[0::2], ends[1::2]))
+
+
+def _halved(params, lo, hi, rising, count):
+    # count one-by-one halvings of (lo, hi) toward sigma's sign change
+    for _ in range(count):
+        mid = 0.5 * (lo + hi)
+        if bool(sigma_positive(params, mid)) == rising:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, rising
 
 
 @pytest.mark.parametrize("gamma", [1e-7, 1e-9, 1e-12])
@@ -402,6 +491,57 @@ def test_no_revival_past_t_star(point, log_gamma):
     times = t_star + np.linspace(0.0, 400.0 / gamma, 4001)
     times[0] = math.nextafter(t_star, math.inf)
     assert not sigma_positive(params, times).any()
+
+
+# the measure's steps and horizons, in units of 1/gamma
+MEASURE_GRIDS = st.tuples(st.sampled_from([1e-3, 1e-2, 1e-3 / 0.3]),
+                          st.sampled_from([3.0, 14.0]))
+
+
+@settings(max_examples=150)
+@given(point=SCAN_POINTS, log_gamma=st.floats(-12.0, 3.0),
+       grid=MEASURE_GRIDS)
+@example(point=(1.0, 0.3), log_gamma=-300.0, grid=(1e-3, 14.0))
+@example(point=(2.0, 2.0), log_gamma=-200.0, grid=(1e-2, 14.0))
+@example(point=(0.25, 0.0), log_gamma=200.0, grid=(1e-3, 3.0))
+@example(point=(1.2, -1.5), log_gamma=300.0, grid=(1e-3 / 0.3, 14.0))
+def test_measure_matches_the_plain_scan(point, log_gamma, grid,
+                                        plain_measure):
+    # the stride scan and the halving tree give the plain grid scan's
+    # and the one-by-one halvings' endpoints and N to the bit
+    gamma = 10.0 ** log_gamma
+    params = ModelParams(v=point[0] * gamma, delta=point[1] * gamma,
+                         gamma=gamma, t_max=grid[1] / gamma)
+    dt = grid[0] / gamma
+    result, plain = nm_measure(params, dt), plain_measure(params, dt)
+    assert result.n_value == plain.n_value
+    assert result.revival_intervals == plain.revival_intervals
+
+
+@settings(max_examples=150)
+@given(point=SCAN_POINTS, log_gamma=st.floats(-12.0, 3.0),
+       grid=MEASURE_GRIDS)
+@example(point=(1.0, 0.3), log_gamma=-300.0, grid=(1e-3, 14.0))
+@example(point=(0.25, 1e-7), log_gamma=300.0, grid=(1e-2, 14.0))
+def test_sure_strides_keep_their_sign(point, log_gamma, grid):
+    # on every stride the certificate calls sure, sigma_positive at each
+    # sample equals its sign at the stride's first sample.  The measure
+    # certifies only where V > 0: at V = 0, t* = 0 and the scan ends at
+    # dt, and sigma_positive is False where F's sign need not be.
+    gamma = 10.0 ** log_gamma
+    params = ModelParams(v=point[0] * gamma, delta=point[1] * gamma,
+                         gamma=gamma)
+    if params.v == 0:
+        return
+    dt, last = grid[0] / gamma, int(grid[1] / grid[0])
+    positive, sure = nonmarkov._stride_signs(params, splitting(params),
+                                             last, dt)
+    pos = sigma_positive(params, np.arange(last + 1) * dt)
+    kept = np.logical_and.reduceat(
+        pos == np.repeat(positive, STRIDE)[:last + 1],
+        np.arange(0, last + 1, STRIDE))
+    assert not sure[0]
+    assert kept[sure].all()
 
 
 def test_boundary_matches_full_grid_bisection():
