@@ -3,6 +3,12 @@
 CSV: a header line, then rows of %.17g floats, %d integers and booleans,
 and text with "," replaced by ";"; NaN and None are empty fields.
 JSON: indent 2, sorted keys and a trailing newline.
+
+Rows are written in blocks, each with one % operation: the block's
+template joins every cell's field format, with its separator, and its
+arguments are the cells in row order.  A NaN cell's field is %.0s, which
+formats its argument as "".  Text goes in as a %s argument, so a "%" in
+it is never parsed.
 """
 
 from __future__ import annotations
@@ -18,14 +24,13 @@ _CSV_BLOCK_ROWS = 1024
 
 
 def _column(values):
-    # (array, block formatter): the format is chosen once per column
+    # (array, field format): the format is chosen once per column
     arr = np.asarray(values)
     if arr.dtype.kind in "biu":
-        return arr, lambda block: list(map("%d".__mod__, block.tolist()))
+        return arr, "%d"
     if arr.dtype.kind == "U":
-        return arr, lambda block: [s.replace(",", ";") for s in block.tolist()]
-    return arr.astype(float, copy=False), lambda block: [   # None -> NaN
-        "%.17g" % x if x == x else "" for x in block.tolist()]
+        return np.strings.replace(arr, ",", ";"), "%s"
+    return arr.astype(float, copy=False), "%.17g"   # None -> NaN
 
 
 def write_csv(path, header: str, *columns) -> None:
@@ -34,12 +39,20 @@ def write_csv(path, header: str, *columns) -> None:
     n_rows = len(cols[0][0])
     if any(len(arr) != n_rows for arr, _ in cols):
         raise ValueError("columns differ in length")
+    k = len(cols)
+    # each field's format carries the separator that follows it
+    fmts = [(fmt + sep, "%.0s" + sep)
+            for (_, fmt), sep in zip(cols, [","] * (k - 1) + ["\n"])]
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-            stop = start + _CSV_BLOCK_ROWS
-            fields = [fmt(arr[start:stop]) for arr, fmt in cols]
-            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+            size = min(_CSV_BLOCK_ROWS, n_rows - start)
+            fields, cells = [None] * (size * k), [None] * (size * k)
+            for j, ((arr, _), (fmt, nan_fmt)) in enumerate(zip(cols, fmts)):
+                block = arr[start:start + size].tolist()
+                cells[j::k] = block
+                fields[j::k] = [fmt if x == x else nan_fmt for x in block]
+            fh.write("".join(fields) % tuple(cells))
 
 
 def write_json(path, data) -> None:

@@ -23,8 +23,13 @@ first draws of a block of JUMP_BLOCK trajectories are computed together:
 numpy's SeedSequence mixes the master seed once, and the spawn-index mix,
 the state hash and the Philox4x64-10 block are uint32/uint64 array
 arithmetic over the block's indices, bit for bit equal to numpy's own
-draw.  Draws and inversion run one block at a time, so working memory
-stays flat in the ensemble size.
+draw.  The counter is the same for every trajectory, so Philox round 0
+multiplies Python integers and only its key XORs are arrays.  Draws and
+inversion run one block at a time, so working memory stays flat in the
+ensemble size.  A block's draws are inverted in sorted order and the
+times scattered back to their indices: each draw's iteration is
+elementwise, so the order changes no bit, while sorted keys make the
+bracket search and the kernel passes faster.
 """
 
 from __future__ import annotations
@@ -75,8 +80,8 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 # Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC'11): round multipliers
 # and the Weyl increments of the key schedule
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 
 
@@ -127,25 +132,31 @@ def _philox_keys(master_seed: int, indices: np.ndarray):
 
 
 def _mulhilo(a, b):
-    """High and low 64-bit words of the 128-bit product of uint64 a, b."""
+    """High and low 64-bit words of the 128-bit product of a uint64 array a
+    and a 64-bit integer b."""
     a_lo, a_hi = a & _MASK32, a >> 32
     b_lo, b_hi = b & _MASK32, b >> 32
-    cross = ((a_lo * b_lo >> 32) + (a_hi * b_lo & _MASK32)
-             + (a_lo * b_hi & _MASK32))
-    hi = (a_hi * b_hi + (a_hi * b_lo >> 32) + (a_lo * b_hi >> 32)
-          + (cross >> 32))
+    hl, lh = a_hi * b_lo, a_lo * b_hi
+    cross = (a_lo * b_lo >> 32) + (hl & _MASK32) + (lh & _MASK32)
+    hi = a_hi * b_hi + (hl >> 32) + (lh >> 32) + (cross >> 32)
     return hi, a * b
 
 
 def _philox4x64(counter, key):
-    """Philox4x64-10 output block of a 4-word counter under uint64 keys."""
+    """Philox4x64-10 output block of a 4-word counter under uint64 keys.
+
+    The counter is the same for every key, so round 0's products are
+    Python integers and only its key XORs are arrays.
+    """
     k0, k1 = key
-    c0, c1, c2, c3 = (np.full_like(k0, c) for c in counter)
+    c0, c1, c2, c3 = map(int, counter)
+    hi0, lo0 = divmod(c0 * _PHILOX_M[0], 2 ** 64)
+    hi1, lo1 = divmod(c2 * _PHILOX_M[1], 2 ** 64)
     for r in range(_PHILOX_ROUNDS):
         if r:
             k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
-        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+            hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+            hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
     return c0, c1, c2, c3
 
@@ -224,6 +235,9 @@ def _invert_survival(params, times, n2, us):
     its step or its bracket is below JUMP_TOL / gamma, so the passes do
     not depend on the scale; two or three steps suffice away from flux
     zeros.
+    The firing draws are inverted in ascending order and each time is
+    written back at its draw's index; every step above is elementwise, so
+    the result does not depend on the order of us, bit for bit.
     sample_jump_times calls this once per block of JUMP_BLOCK draws.
     """
     jump_times = np.full(us.shape, np.nan)
@@ -232,9 +246,10 @@ def _invert_survival(params, times, n2, us):
     n2_end = n2[-1]
     if n2_end >= 1.0:
         return jump_times
-    firing = us >= n2_end
-    if not np.any(firing):
+    firing = np.flatnonzero(us >= n2_end)
+    if not firing.size:
         return jump_times
+    firing = firing[np.argsort(us[firing])]
     u = us[firing]
 
     idx = np.searchsorted(-n2, -u, side="right")

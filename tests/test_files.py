@@ -36,6 +36,29 @@ def test_csv_matches_row_by_row_reference(tmp_path):
     assert path.read_text() == expected
 
 
+
+# block edges at 1024 rows, and cells that a format string could misread
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+def test_csv_block_edges_and_awkward_cells(tmp_path, n):
+    rng = np.random.default_rng(n)
+    first = rng.standard_normal(n) * 1e300
+    second = rng.standard_normal(n)
+    ints = rng.integers(-2 ** 62, 2 ** 62, n, dtype=np.int64)
+    words = ["100%", "%s", "%%", "a,b", "%d,%.17g", ",", "plain"]
+    text = [words[k % len(words)] for k in range(n)]
+    if n:
+        first[0] = np.nan
+        first[n // 2], second[n // 2] = np.inf, -np.inf
+        first[-1] = second[-1] = np.nan     # every float cell of a row
+    path = tmp_path / "out.csv"
+    write_csv(path, "first,i,second,text", first, ints, second, text)
+
+    expected = "first,i,second,text\n" + "".join(
+        f"{_float_field(a)},{i:d},{_float_field(b)},{t.replace(',', ';')}\n"
+        for a, i, b, t in zip(first.tolist(), ints.tolist(),
+                              second.tolist(), text))
+    assert path.read_text() == expected
+
 def test_csv_rejects_columns_of_different_length(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "out.csv", "a,b", [1.0, 2.0], [1.0])

@@ -103,6 +103,18 @@ def test_philox_block_matches_numpy_vectors(name):
     assert drawn == outputs
 
 
+
+def test_philox_block_at_full_counter_words():
+    # every counter word non-zero: round 0 multiplies words 0 and 2 and
+    # XORs words 1 and 3 into the products
+    key = np.random.SeedSequence(11).generate_state(2, np.uint64)
+    counter = np.array([2**64 - 1, 2**63 + 5, 7, 2**64 - 2], dtype=np.uint64)
+    expected = np.random.Philox(key=key, counter=counter).random_raw(4)
+    # numpy steps its counter before the first block: word 0 wraps to 0
+    # and carries into word 1
+    words = _philox4x64((0, 2**63 + 6, 7, 2**64 - 2), (key[:1], key[1:]))
+    assert [int(w[0]) for w in words] == expected.tolist()
+
 def test_record_uses_numpy_trajectory_streams():
     record = sample_jump_times(STRONG, 60, master_seed=17)
     times = np.arange(0, 14001) * 1e-3
@@ -190,6 +202,36 @@ def test_newton_matches_bisection(v, delta, bisection_reference):
     assert np.max(np.abs(jt[fired] - ref[fired])) <= JUMP_TOL
     assert np.max(np.abs(survival_at(params, jt[fired]) - us[fired])) < 1e-14
 
+
+
+@pytest.mark.parametrize("v, delta", [(1.0, 0.0), (5.0, 0.0), (2.0, 2.0),
+                                      (0.25, 0.0)])
+def test_inversion_does_not_depend_on_draw_order(v, delta):
+    params = ModelParams(v=v, delta=delta)
+    times = time_grid(params.t_max, DEFAULT_DT)
+    n2 = np.minimum.accumulate(survival_at(params, times))
+    # ties, a draw of 1 (a jump at t = 0) and a draw that never fires
+    us = trajectory_uniforms(9, 3000)
+    us = np.concatenate([us, us[:3], [1.0, 1.0, 0.5 * n2[-1]]])
+    perm = np.random.default_rng(1).permutation(us.size)
+    assert_array_equal(_invert_survival(params, times, n2, us[perm]),
+                       _invert_survival(params, times, n2, us)[perm])
+
+
+def test_record_matches_per_draw_inversion():
+    # each draw inverted alone, in numpy's own unsorted stream, over both
+    # blocks of the record
+    params = ModelParams(v=2.0, delta=2.0)
+    record = sample_jump_times(params, JUMP_BLOCK + 5, master_seed=5)
+    times = time_grid(params.t_max, DEFAULT_DT)
+    n2 = np.minimum.accumulate(survival_at(params, times))
+    picked = np.random.default_rng(2).choice(JUMP_BLOCK, 300, replace=False)
+    indices = np.concatenate([[0, 1, JUMP_BLOCK - 1], picked,
+                              np.arange(JUMP_BLOCK, JUMP_BLOCK + 5)])
+    alone = [_invert_survival(params, times, n2,
+                              np.array([_numpy_uniform(5, int(i))]))[0]
+             for i in indices]
+    assert_array_equal(record.jump_times[indices], alone)
 
 def _count_kernel_calls(monkeypatch):
     kernel = trajectories.amplitudes_analytic
@@ -368,6 +410,22 @@ def test_estimate_flux_in_units_of_gamma(gamma):
         assert_array_equal(flux.counts, ref.counts)
         assert_allclose(flux.times * gamma, ref.times, rtol=1e-12)
 
+
+
+@settings(max_examples=40)
+@given(point=st.tuples(st.floats(0.0, 5.0), st.floats(-5.0, 5.0)),
+       log_gamma=st.floats(-12.0, 3.0), seed=st.integers(0, 2 ** 32))
+def test_estimate_flux_is_gamma_invariant(point, log_gamma, seed,
+                                          scaled_point):
+    gamma = 10.0 ** log_gamma
+    unit_params, unit_dt = scaled_point(*point, 1.0)
+    unit = estimate_flux(unit_params, 1000, bin_width=0.2,
+                         master_seed=seed, dt=unit_dt)
+    params, dt = scaled_point(*point, gamma)
+    flux = estimate_flux(params, 1000, bin_width=0.2 / gamma,
+                         master_seed=seed, dt=dt)
+    assert_array_equal(flux.counts, unit.counts)
+    assert_allclose(flux.values / gamma, unit.values, rtol=1e-12)
 
 def test_poisson_coverage():
     n = 20000
