@@ -60,13 +60,14 @@ class Unresolved(ValueError):
 
 
 def require_resolved(params: ModelParams, dt: float, limit: float):
-    """The resolution rule: dt, if |Im d| dt < limit, so the grid
-    resolves the amplitudes' oscillation at angular frequency |Im d| / 2;
-    otherwise Unresolved, a ValueError that names dt and the largest dt
-    allowed."""
-    rate = abs(splitting(params).imag)
+    """The resolution rule: d = splitting(params), if |Im d| dt < limit,
+    so the grid resolves the amplitudes' oscillation at angular frequency
+    |Im d| / 2; otherwise Unresolved, a ValueError that names dt and the
+    largest dt allowed."""
+    d = splitting(params)
+    rate = abs(d.imag)
     if rate * dt < limit:
-        return dt
+        return d
     raise Unresolved(params.v, params.delta, limit / rate, dt, "dt")
 
 

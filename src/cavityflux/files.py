@@ -7,8 +7,9 @@ JSON: indent 2, sorted keys and a trailing newline.
 Rows are written in blocks, each with one % operation: the block's
 template joins every cell's field format, with its separator, and its
 arguments are the cells in row order.  A NaN cell's field is %.0s, which
-formats its argument as "".  Text goes in as a %s argument, so a "%" in
-it is never parsed.
+formats its argument as ""; only float columns can hold NaN, so only
+their cells are tested for it.  Text goes in as a %s argument, so a "%"
+in it is never parsed.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ def write_csv(path, header: str, *columns) -> None:
     if any(len(arr) != n_rows for arr, _ in cols):
         raise ValueError("columns differ in length")
     k = len(cols)
-    # each field's format carries the separator that follows it
-    fmts = [(fmt + sep, "%.0s" + sep)
+    # each field's format carries the separator that follows it, and a
+    # float field's NaN format too
+    fmts = [(fmt + sep, "%.0s" + sep if fmt == "%.17g" else None)
             for (_, fmt), sep in zip(cols, [","] * (k - 1) + ["\n"])]
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -51,7 +53,8 @@ def write_csv(path, header: str, *columns) -> None:
             for j, ((arr, _), (fmt, nan_fmt)) in enumerate(zip(cols, fmts)):
                 block = arr[start:start + size].tolist()
                 cells[j::k] = block
-                fields[j::k] = [fmt if x == x else nan_fmt for x in block]
+                fields[j::k] = ([fmt if x == x else nan_fmt for x in block]
+                                if nan_fmt else [fmt] * size)
             fh.write("".join(fields) % tuple(cells))
 
 

@@ -29,7 +29,16 @@ stride of STRIDE samples where a bound on the slope of sigma's sign
 form certifies it for the whole stride, and tests every sample of the
 other strides; the halvings run as bisection trees, one sign pass per
 HALVING_PASSES entry.  Both give the plain grid scan's and the one-by-
-one halvings' results to the bit.  Each boundary probe scans the
+one halvings' results to the bit.
+
+The measure runs in two parts.  measure_plan takes one point's checks,
+d, t* and the scan's last sample, and raises where the point is
+refused.  measure_batch then measures many planned points together:
+one stride pass, one sign pass over the samples the strides leave, and
+one bisection tree per HALVING_PASSES entry, with each point's d and
+gamma given per row, so every point gets the float operations of its
+own scan.  A sweep measures each delta column as one batch, and
+nm_measure is the batch of one point.  Each boundary probe scans the
 first SCAN_HEAD samples first and stops at a revival there; only probes
 without one scan the rest of the grid.
 """
@@ -41,6 +50,7 @@ import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,20 +93,38 @@ def sigma_values(params: ModelParams, t):
     return 2.0 * np.real(np.conj(c) * dc)
 
 
-def _sign_terms(d: complex, t, unit: float = 1.0):
-    """(d, 2 Re(conj(d) s), |s|^2) for the splitting d, with s = 1 -
-    e^{-d t/2} and d in units of unit: the signs of sigma and of the
-    flux slope are each one comparison of the last two.
+def _row(params: ModelParams, d: complex, unit: float = 1.0):
+    """(d / unit, row) at the splitting d: sigma_positive's test at one
+    point as a row of five numbers, (-Re d / 2, -Im d / 4, 2 Re du,
+    2 Im du, Re du - gamma / unit) with du = d / unit.  The first four
+    are _sign_terms' factors, and _signs takes the row."""
+    du = d / unit
+    return du, (-0.5 * d.real, -0.25 * d.imag, 2.0 * du.real, 2.0 * du.imag,
+                du.real - params.gamma / unit)
+
+
+def _sign_terms(factors, t):
+    """(2 Re(conj(du) s), |s|^2) at the times t, with s = 1 - e^{-d t/2},
+    from the first four numbers of a _row (scalars, or arrays that
+    broadcast against t, one row per point): the signs of sigma and of
+    the flux slope are each one comparison of the two.
 
     s is taken in real parts from expm1, sin and cos (-d t/2 = y + 2ih,
     s = -expm1(y) - 2i e^y sin(h) e^{ih}): it keeps its digits as d t -> 0.
     """
-    em, h = np.expm1(-0.5 * d.real * t), -0.25 * d.imag * t
+    half, quarter, two_re, two_im = factors
+    em, h = np.expm1(half * t), quarter * t
     sh = np.sin(h)
     esh = (2.0 + 2.0 * em) * sh
     re, im = esh * sh - em, esh * np.cos(h)     # s = re - i im
-    d /= unit
-    return d, 2.0 * d.real * re - 2.0 * d.imag * im, re * re + im * im
+    return two_re * re - two_im * im, re * re + im * im
+
+
+def _signs(rows, t):
+    """sigma_positive's test a < (Re d - gamma) |s|^2 at the times t, for
+    the rows of _row (scalars, or arrays that broadcast against t)."""
+    a, q = _sign_terms(rows[:4], t)
+    return a < rows[4] * q
 
 
 def sigma_positive(params: ModelParams, t):
@@ -120,8 +148,7 @@ def _positive(params: ModelParams, d: complex, t):
     """sigma_positive at the float times t, given d = splitting(params)."""
     if params.v == 0 or complex(params.c0_init) == 0:
         return np.zeros(t.shape, dtype=bool)
-    d, a, q = _sign_terms(d, t)
-    return a < (d.real - params.gamma) * q
+    return _signs(_row(params, d)[1], t)
 
 
 def revival_free_after(params: ModelParams) -> float:
@@ -174,12 +201,49 @@ def _require_unit_c0(params):
             f"measure requires c(0) = 1, got {params.c0_init}")
 
 
-def _stride_signs(params: ModelParams, d: complex, last: int, dt: float):
-    """(positive, sure) per stride of STRIDE samples of the grid k dt,
-    k = 0 .. last: sigma_positive at the stride's first sample, and
-    whether that sign holds at every sample of the stride.  For V > 0,
-    where sigma_positive is F's sign test (at V = 0 it is False, and
-    the measure's scan ends at dt).
+class MeasurePlan(NamedTuple):
+    """One point of a measure batch, checked: its step dt, the size n of
+    its grid 0, dt, ..., n dt, its splitting d, and the last sample of
+    its scan, the first past t*."""
+
+    params: ModelParams
+    dt: float
+    n: int
+    d: complex
+    last: int
+
+
+def measure_plan(params: ModelParams, dt: float) -> MeasurePlan:
+    """nm_measure's checks and scan length at one point: each refusal
+    raises here, before any sign is read."""
+    _require_unit_c0(params)
+    n = grid_steps(params.t_max, dt)
+    d = require_resolved(params, dt, RESOLUTION)
+    # one scan, through the first sample past t*: no revival starts later.
+    # int(t* / dt) - 1 is not past t*, as the quotient rounds by less
+    # than a step.
+    t_star, last = _revival_free_after(params, d), n
+    if t_star < n * dt:
+        last = int(t_star / dt)
+        while last * dt <= t_star:
+            last += 1
+    return MeasurePlan(params, dt, n, d, last)
+
+
+def _spread(counts):
+    """(owner, rank) of sum(counts) items in order, counts[i] of them
+    owned by i and ranked 0 .. counts[i] - 1."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts)
+                                                    - counts, counts)
+
+
+def _stride_signs(plans):
+    """(positive, sure) per stride of STRIDE samples of each plan's scan,
+    k dt for k = 0 .. last, the plans' strides in order: sigma_positive
+    at the stride's first sample, and whether that sign holds at every
+    sample of the stride.  For V > 0, where sigma_positive is F's sign
+    test (at V = 0 it is False, and the measure's scan ends at dt).
 
     F = (gamma + Re d) + (gamma - Re d) r^2 + Re((2i Im d - 2 gamma) u),
     sigma_positive's form in u = e^{-d t/2}, r = |u|, has |F'| <= L =
@@ -192,50 +256,101 @@ def _stride_signs(params: ModelParams, d: complex, last: int, dt: float):
     d = 0, where F is tiny.  F is taken with sigma_positive's float
     operations, and the bound with d, gamma and g in units of the power
     of two above gamma + |delta| + |d|, so none of its terms leaves
-    float range at any scale.
+    float range at any scale.  Each point's terms are scalars, given to
+    its strides row by row.
     """
-    start = np.arange(0, last + 1, STRIDE)
+    terms = []
+    for plan in plans:
+        gamma, delta, d = plan.params.gamma, plan.params.delta, plan.d
+        unit = math.ldexp(1.0, math.frexp(gamma + abs(delta) + abs(d))[1])
+        du, row = _row(plan.params, d, unit)
+        gu, gg = gamma / unit, (gamma + 2j * delta) / unit
+        tau = 1e-9 * (abs(du + gg) + abs(du - gg))
+        terms.append((*row, du.real * abs(gu - du.real),
+                      abs(2j * du.imag - 2.0 * gu) * abs(du) * 0.5,
+                      2.0 * tau, unit, plan.dt))
+    last = np.array([plan.last for plan in plans])
+    point, rank = _spread(last // STRIDE + 1)
+    *row, l_r2, l_r, slack, unit, dt = np.array(terms).T[:, point]
+    start, last = rank * STRIDE, last[point]
     t_s = start * dt
-    gamma = params.gamma
-    unit = math.ldexp(1.0, math.frexp(gamma + abs(params.delta) + abs(d))[1])
-    du, a, q = _sign_terms(d, t_s, unit)
-    gu, gg = gamma / unit, (gamma + 2j * params.delta) / unit
-    b = (du.real - gu) * q
-    r = np.exp(-0.5 * d.real * t_s)
-    slope = (du.real * abs(gu - du.real) * r * r
-             + abs(2j * du.imag - 2.0 * gu) * abs(du) * 0.5 * r)
+    a, q = _sign_terms(row[:4], t_s)
+    b = row[4] * q
+    r = np.exp(row[0] * t_s)
+    slope = l_r2 * r * r + l_r * r
     span = (np.minimum(start + (STRIDE - 1), last) * dt - t_s) * unit
-    tau = 1e-9 * (abs(du + gg) + abs(du - gg))
-    return a < b, np.abs(a - b) > slope * span * (1.0 + 1e-6) + 2.0 * tau
+    return a < b, np.abs(a - b) > slope * span * (1.0 + 1e-6) + slack
 
 
-def _grid_signs(params: ModelParams, d: complex, last: int, dt: float):
-    """sigma_positive on the grid k dt, k = 0 .. last: each sure stride
-    takes its first sample's sign (_stride_signs), and every sample of
-    the other strides, or of a grid of at most 2 STRIDE samples, goes
-    through sigma_positive's test in one pass.  So the result is the
-    plain grid scan's to the bit."""
-    k = np.arange(last + 1)
-    if last < 2 * STRIDE:
-        return _positive(params, d, k * dt)
-    positive, sure = _stride_signs(params, d, last, dt)
-    pos = np.repeat(positive, STRIDE)[:last + 1]
-    unsure = np.repeat(~sure, STRIDE)[:last + 1]
-    pos[unsure] = _positive(params, d, k[unsure] * dt)
-    return pos
+def _brackets(plans, rows):
+    """(point, lo, hi, rising) for every sign change of sigma_positive
+    between neighbouring samples lo = k dt and hi = (k + 1) dt of a
+    plan's scan, sorted by point and k: rising where it turns True.
+    rows holds each plan's _row.
+
+    A scan is read in groups of samples: a scan of at least 2 STRIDE
+    samples by stride, a shorter one whole.  Each sure stride
+    (_stride_signs) takes its first sample's sign, and every sample of
+    the other groups goes through the sign test, all in one pass.  A
+    crossing lies inside a tested group, or between two neighbouring
+    groups of one scan, where the first's last sign and the second's
+    first differ; none runs from one scan into the next.  So each scan's
+    crossings are the plain grid scan's, read without building its grid.
+    """
+    last = np.array([plan.last for plan in plans])
+    dt = np.array([plan.dt for plan in plans])
+    tiled = last >= 2 * STRIDE
+    size = np.where(tiled, STRIDE, last + 1)
+    point, rank = _spread(last // size + 1)
+    start = rank * size[point]
+    count = np.minimum(size[point], last[point] + 1 - start)
+    # each group's sign at its first sample, and whether all samples share it
+    first = np.zeros(point.size, dtype=bool)
+    sure = np.zeros(point.size, dtype=bool)
+    if tiled.any():
+        in_tiled = tiled[point]
+        first[in_tiled], sure[in_tiled] = _stride_signs(
+            [plan for plan, t in zip(plans, tiled) if t])
+    # the samples of the other groups, in one sign pass; signs[at] opens each
+    unsure = np.flatnonzero(~sure)
+    owner, count = point[unsure], count[unsure]
+    at = np.cumsum(count) - count
+    k = np.arange(count.sum()) - np.repeat(at - start[unsure], count)
+    signs = _signs(np.repeat(rows[:, owner], count, axis=1),
+                   k * np.repeat(dt[owner], count))
+    moving = np.array([plan.params.v != 0 for plan in plans])
+    if not moving.all():        # sigma_positive is False at V = 0
+        signs &= np.repeat(moving[owner], count)
+    final = first.copy()
+    first[unsure], final[unsure] = signs[at], signs[at + count - 1]
+    # inside a tested group, and between neighbouring groups of one scan
+    inner = 1 + np.flatnonzero(signs[1:] != signs[:-1])
+    group = np.searchsorted(at, inner, side="right") - 1
+    inner, group = inner[at[group] != inner], group[at[group] != inner]
+    seam = 1 + np.flatnonzero((first[1:] != final[:-1]) & (rank[1:] > 0))
+    at_point = np.concatenate([owner[group], point[seam]])
+    right = np.concatenate([k[inner], start[seam]])
+    order = np.lexsort((right, at_point))
+    at_point, right = at_point[order], right[order]
+    step = dt[at_point]
+    return (at_point, (right - 1) * step, right * step,
+            np.concatenate([signs[inner], first[seam]])[order])
 
 
-def _halve(params: ModelParams, d: complex, lo, hi, rising):
+def _halve(rows, lo, hi, rising):
     """17 halvings of each bracket (lo, hi) toward the sign change of
-    sigma_positive, rising where it turns True, in HALVING_PASSES passes.
+    sigma_positive, rising where it turns True, in HALVING_PASSES passes;
+    rows holds each bracket's _row, shaped to broadcast against a
+    column of nodes per bracket.
 
     Each pass builds a bisection tree of 2^levels + 1 nodes per bracket,
     each node 0.5 (left + right) of its parent's ends: exactly the
     midpoints that one halving after another would take.  One sign pass
-    over every node, then the halvings' decisions replayed down the tree,
-    give the sequential halvings' brackets to the bit.
+    over every node of every bracket, then the halvings' decisions
+    replayed down each tree, give the sequential halvings' brackets to
+    the bit.
     """
-    rows = np.arange(lo.size)
+    index = np.arange(lo.size)
     for levels in HALVING_PASSES:
         width = 1 << levels
         nodes = np.empty((lo.size, width + 1))
@@ -247,8 +362,7 @@ def _halve(params: ModelParams, d: complex, lo, hi, rising):
             mid *= 0.5
             step //= 2
         # keep[i][j - 1]: bracket i's halving at node j keeps its left half
-        keep = (_positive(params, d, nodes[:, 1:-1])
-                == rising[:, None]).tolist()
+        keep = (_signs(rows, nodes[:, 1:-1]) == rising[:, None]).tolist()
         left = []
         for row in keep:
             at, half = 0, width // 2
@@ -257,8 +371,49 @@ def _halve(params: ModelParams, d: complex, lo, hi, rising):
                 half //= 2
             left.append(at)
         left = np.array(left)
-        lo, hi = nodes[rows, left], nodes[rows, left + 1]
+        lo, hi = nodes[index, left], nodes[index, left + 1]
     return lo, hi
+
+
+def measure_batch(plans) -> list:
+    """nm_measure at every planned point, as a list of NMResult: one
+    stride pass, one sign pass over the samples left, and one bisection
+    tree per HALVING_PASSES entry for all the points together, each
+    point's d and gamma given per row.  Every row takes the float
+    operations of the point measured alone, so each result is that
+    point's nm_measure to the bit."""
+    if not plans:
+        return []
+    rows = np.array([_row(plan.params, plan.d)[1] for plan in plans]).T
+    point, lo, hi, rising = _brackets(plans, rows)
+    ends = []
+    if point.size:
+        # sigma(0) = 0, so crossings alternate rising, falling, ...  Every
+        # bracket is one step wide, and 17 halvings refine all to
+        # dt / 2^17 at any dt and scale: 7.6e-9 / gamma at the default
+        # dt = 1e-3 / gamma.  Past float spacing a halving is a no-op.
+        lo, hi = _halve(rows[:, point, None], lo, hi, rising)
+        ends = (0.5 * (lo + hi)).tolist()
+    bounds = np.cumsum(np.bincount(point, minlength=len(plans))).tolist()
+    return [_result(plan, ends[a:b])
+            for plan, a, b in zip(plans, [0] + bounds, bounds)]
+
+
+def _result(plan: MeasurePlan, ends: list) -> NMResult:
+    # the revival endpoints' populations, telescoped
+    params, n, dt = plan.params, plan.n, plan.dt
+    if len(ends) % 2:
+        # revival still running at the horizon: truncate at t_max
+        ends.append(n * dt)
+    intervals = list(zip(ends[0::2], ends[1::2]))
+    n_value = 0.0
+    if ends:
+        c, _ = amplitudes_analytic(params, np.array(ends))
+        # Python's abs, not numpy's, which differs in the last bit
+        for k in range(0, len(ends), 2):
+            n_value += abs(complex(c[k + 1])) ** 2 - abs(complex(c[k])) ** 2
+    return NMResult(n_value=max(n_value, 0.0), revival_intervals=intervals,
+                    t_max=params.t_max, dt=dt)
 
 
 def nm_measure(params: ModelParams, dt: float = DEFAULT_DT) -> NMResult:
@@ -275,46 +430,12 @@ def nm_measure(params: ModelParams, dt: float = DEFAULT_DT) -> NMResult:
     The grid is read STRIDE samples at a time: a stride whose first
     sample and a bound on the slope of sigma's sign form certify one
     sign takes it, and the samples of every other stride are tested one
-    by one (_grid_signs).  The halvings run as a bisection tree in three
+    by one (_brackets).  The halvings run as a bisection tree in three
     sign passes (_halve).  Both give the plain grid scan's and the one-
-    by-one halvings' results to the bit.
+    by-one halvings' results to the bit.  This is the batch of one
+    point, measure_batch([measure_plan(params, dt)]).
     """
-    _require_unit_c0(params)
-    n = grid_steps(params.t_max, dt)
-    require_resolved(params, dt, RESOLUTION)
-    d = splitting(params)
-    # one scan, through the first sample past t*: no revival starts later.
-    # int(t* / dt) - 1 is not past t*, as the quotient rounds by less
-    # than a step.
-    t_star, last = _revival_free_after(params, d), n
-    if t_star < n * dt:
-        last = int(t_star / dt)
-        while last * dt <= t_star:
-            last += 1
-    pos = _grid_signs(params, d, last, dt)
-    # sigma(0) = 0, so crossings alternate rising, falling, ...  Every
-    # bracket is one step wide, and 17 halvings refine all to dt / 2^17
-    # at any dt and scale: 7.6e-9 / gamma at the default dt = 1e-3 /
-    # gamma.  Past float spacing a halving is a no-op.
-    edges = np.flatnonzero(pos[1:] != pos[:-1])
-    ends = []
-    if edges.size:
-        lo, hi = _halve(params, d, edges * dt, (edges + 1) * dt,
-                        pos[edges + 1])
-        ends = (0.5 * (lo + hi)).tolist()
-    if len(ends) % 2:
-        # revival still running at the horizon: truncate at t_max
-        ends.append(n * dt)
-    intervals = list(zip(ends[0::2], ends[1::2]))
-
-    n_value = 0.0
-    if ends:
-        c, _ = amplitudes_analytic(params, np.array(ends))
-        # Python's abs, not numpy's, which differs in the last bit
-        for k in range(0, len(ends), 2):
-            n_value += abs(complex(c[k + 1])) ** 2 - abs(complex(c[k])) ** 2
-    return NMResult(n_value=max(n_value, 0.0), revival_intervals=intervals,
-                    t_max=params.t_max, dt=dt)
+    return measure_batch([measure_plan(params, dt)])[0]
 
 
 def _has_revival(v, delta, gamma, t_max, times):
@@ -495,9 +616,10 @@ def sign_map(axis: str, fixed_value: float, param_values,
         if v == 0:
             continue        # no coupling: c stays 1 and no photon leaves
         unit = math.ldexp(1.0, math.frexp(gamma + abs(delta))[1])
-        d, a, q = _sign_terms(splitting(params), times, unit)
+        d, row = _row(params, splitting(params), unit)
+        a, q = _sign_terms(row[:4], times)
         g = gamma / unit
-        c_pos[i] = a < (d.real - g) * q
+        c_pos[i] = a < row[4] * q
         b_pos[i] = (times * (4.0 - gamma * times) > 0.0
                     if abs(d) <= 1e-150 * (g + abs(delta) / unit)
                     else a > (d.real + g) * q)

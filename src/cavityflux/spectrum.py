@@ -26,6 +26,7 @@ non-Markovian dynamics.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (DEFAULT_DT, FluxSeries, ModelParams, grid_steps,
-                       require_finite, require_resolved, splitting)
+                       require_finite, require_resolved)
 from .files import write_csv
 from .nonmarkov import EPS_N, BoundaryCurve, nm_measure
 
@@ -112,9 +113,10 @@ def dft(r, dt: float) -> SpectrumResult:
                           dt=float(dt))
 
 
-def _shape_dft(params: ModelParams, n: int, dt: float):
+def _shape_dft(params: ModelParams, d: complex, n: int, dt: float):
     """The n-point DFT S_k of f(t) = e^{-gamma t/2} (cosh(xt) - cos(yt)) /
-    (x^2 + y^2), x + iy = w = d/2, in closed form, as two functions:
+    (x^2 + y^2), x + iy = w = d/2, d = splitting(params), in closed form,
+    as two functions:
     bins(k), S at an array of bin numbers k in 1 .. n//2, elementwise, so
     a block of bins costs its own size; and tail(k0), an upper bound on
     |S_k| over every k0 <= k <= n//2.
@@ -133,7 +135,7 @@ def _shape_dft(params: ModelParams, n: int, dt: float):
     nearest its pole, or at an end; tail takes each term and factor
     there, and adds 1e-9 for rounding.
     """
-    gamma, w, t_end = params.gamma, splitting(params) / 2.0, n * dt
+    gamma, w, t_end = params.gamma, d / 2.0, n * dt
 
     def f(t):   # from expm1(u) / u, u = -w t: no digit is lost as w -> 0
         u = -w * t
@@ -190,7 +192,7 @@ def _shape_dft(params: ModelParams, n: int, dt: float):
     return bins, tail
 
 
-def _parseval_total(params: ModelParams, n: int, dt: float):
+def _parseval_total(params: ModelParams, d: complex, n: int, dt: float):
     """Sum over all n bins of |gamma^2 S_k|^2 (S of _shape_dft), or None
     where its rounding could reach 1e-13 of it.
 
@@ -201,7 +203,7 @@ def _parseval_total(params: ModelParams, n: int, dt: float):
     (and on horizons short against 1/|w|) their terms cancel; there the
     caller sums the bins.
     """
-    gamma, w = params.gamma, splitting(params) / 2.0
+    gamma, w = params.gamma, d / 2.0
     x, y = w.real, w.imag
 
     def geo(lam):                   # sum of e^{lam m dt}, m < n
@@ -230,12 +232,12 @@ def analytic_spectrum(params: ModelParams, dt: float = DEFAULT_DT) -> SpectrumRe
     gamma in 1e-152 .. 1e150, and below that f's t^2 overflows to NaN,
     which raises FloatingPointError."""
     n = grid_steps(params.t_max, dt) + 1
-    require_resolved(params, dt, NYQUIST)
+    d = require_resolved(params, dt, NYQUIST)
     gamma, c2 = params.gamma, abs(complex(params.c0_init)) ** 2
     power = np.zeros(n // 2 + 1)
     if gamma and params.v and c2:
         scale = 2.0 * c2 * (params.v / gamma) ** 2 * gamma * gamma
-        bins, _ = _shape_dft(params, n, dt)
+        bins, _ = _shape_dft(params, d, n, dt)
         shape = bins(np.arange(1, n // 2 + 1))
         power[1:] = np.abs(scale * (gamma * shape)) ** 2
         if np.isnan(power).any():
@@ -337,15 +339,16 @@ def _analytic_peak(params: ModelParams, dt: float) -> PeakEstimate:
     valley is found and _shape_dft's tail bound over the bins left is
     below the best bin beyond it; the total power is _parseval_total's.
     Where either fails, every bin is evaluated and dominant_peak runs on
-    them.  A zero flux (gamma, V or c0 is 0) raises NoSignal.
+    them.  A zero flux (gamma, V or c0 is 0) raises NoSignal.  splitting
+    runs once per call.
     """
     n = grid_steps(params.t_max, dt) + 1
-    require_resolved(params, dt, NYQUIST)
+    d = require_resolved(params, dt, NYQUIST)
     gamma, kmax = params.gamma, n // 2
     if not (gamma and params.v and complex(params.c0_init)):
         raise NoSignal("the flux is zero throughout")
-    bins, tail = _shape_dft(params, n, dt)
-    total = _parseval_total(params, n, dt)
+    bins, tail = _shape_dft(params, d, n, dt)
+    total = _parseval_total(params, d, n, dt)
     power, top = np.zeros(1), 0         # S_0 = 0: the flux is detrended
     while top < kmax:
         top = kmax if total is None else min(max(2 * top, 64), kmax)
@@ -426,6 +429,17 @@ class RegionVerdict:
     n_value: float | None = None
     note: str | None = None
 
+    def with_ground_truth(self, n_value: float,
+                          eps_n: float) -> RegionVerdict:
+        """This verdict with the measure's n_value: an undetected point
+        is NonMarkovianUndetectable where n_value > eps_n, else
+        Markovian."""
+        label = self.label
+        if label != "NonMarkovianDetected":
+            label = ("NonMarkovianUndetectable" if n_value > eps_n
+                     else "Markovian")
+        return dataclasses.replace(self, label=label, n_value=n_value)
+
     def to_dict(self) -> dict:
         p = self.params
         return {
@@ -477,16 +491,11 @@ def classify(params: ModelParams, omega_threshold: float,
         omega_peak, prominence, detected = None, 0.0, False
         note = "zero flux"
 
-    n_value = nm_measure(params, dt).n_value if ground_truth else None
-
-    if detected:
-        label = "NonMarkovianDetected"
-    elif ground_truth:
-        label = ("NonMarkovianUndetectable" if n_value > eps_n
-                 else "Markovian")
-    else:
-        label = "MarkovianConsistent"
-    return RegionVerdict(label=label, omega_peak=omega_peak,
-                         omega_threshold=float(omega_threshold),
-                         prominence=prominence, params=params,
-                         n_value=n_value, note=note)
+    verdict = RegionVerdict(
+        label="NonMarkovianDetected" if detected else "MarkovianConsistent",
+        omega_peak=omega_peak, omega_threshold=float(omega_threshold),
+        prominence=prominence, params=params, note=note)
+    if ground_truth:
+        return verdict.with_ground_truth(nm_measure(params, dt).n_value,
+                                         eps_n)
+    return verdict

@@ -1,9 +1,11 @@
 """Parameter-grid sweeps, region maps, and figure dataset export.
 
 Each (delta, V) cell gets the non-Markovianity measure, the coherent
-frequency Omega, and the spectral verdict (ground-truth refined).  Cells
-are independent work items; assembly follows cell order, so results
-are identical regardless of worker count.  Manifests carry all inputs
+frequency Omega, and the spectral verdict (ground-truth refined).  A
+delta column is one work item: its cells read their peaks one by one
+and take their measures from one batch, which gives each cell's
+stand-alone nm_measure to the bit.  Assembly follows cell order, so
+results are identical regardless of worker count.  Manifests carry all inputs
 and versions but no timestamps, keeping reruns byte-identical.
 """
 
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import asdict, dataclass
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,9 @@ from . import __version__
 from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
                        amplitude_series, require_finite)
 from .files import write_csv, write_json
-from .nonmarkov import (EPS_N, markovian_boundary, parallel_map,
-                        resolve_workers, sign_map)
+from .nonmarkov import (EPS_N, markovian_boundary, measure_batch,
+                        measure_plan, parallel_map, resolve_workers,
+                        sign_map)
 from .nonmarkov import nm_measure  # noqa: F401  (perfbench rebinds it here)
 from .spectrum import (DEFAULT_MIN_PROMINENCE, analytic_spectrum, classify,
                        coherent_frequency, threshold_frequency)
@@ -112,28 +114,41 @@ def _cell_seed(master_seed: int, cell_index: int) -> int:
                .generate_state(1, np.uint64)[0])
 
 
-def _sweep_cell(task) -> dict:
-    config, cell_index, delta, v, omega_threshold = task
-    cell = {"delta": delta, "v": v, "n_value": float("nan"),
-            "omega": coherent_frequency(v, delta), "omega_peak": None,
-            "prominence": float("nan"), "verdict": None, "error": None}
-    try:
-        params = ModelParams(v=v, delta=delta, gamma=config.gamma,
-                             t_max=config.t_max)
-        flux = None             # None = analytic flux, inside classify
-        if config.n_traj > 0:
-            flux = estimate_flux(params, config.n_traj, config.bin_width,
-                                 _cell_seed(config.master_seed, cell_index),
-                                 config.dt)
-        verdict = classify(params, omega_threshold,
-                           min_prominence=config.min_prominence, flux=flux,
-                           ground_truth=True, dt=config.dt,
-                           eps_n=config.eps_n)
+def _sweep_column(task) -> list:
+    """The cells of one delta column, in V order: each cell's spectral
+    verdict from classify, refined by its N from one measure batch over
+    the column.  A cell whose verdict or measure plan raises records the
+    error and is left out of the batch."""
+    config, first_index, delta, vs, omega_threshold = task
+    cells, measured = [], []
+    for i, v in enumerate(vs):
+        cell = {"delta": delta, "v": v, "n_value": float("nan"),
+                "omega": coherent_frequency(v, delta), "omega_peak": None,
+                "prominence": float("nan"), "verdict": None, "error": None}
+        try:
+            params = ModelParams(v=v, delta=delta, gamma=config.gamma,
+                                 t_max=config.t_max)
+            flux = None             # None = analytic flux, inside classify
+            if config.n_traj > 0:
+                flux = estimate_flux(
+                    params, config.n_traj, config.bin_width,
+                    _cell_seed(config.master_seed, first_index + i),
+                    config.dt)
+            verdict = classify(params, omega_threshold,
+                               min_prominence=config.min_prominence,
+                               flux=flux, dt=config.dt)
+            plan = measure_plan(params, config.dt)
+            measured.append((cell, verdict, plan))
+        except Exception as exc:    # one bad cell must not kill the sweep
+            cell.update(verdict=f"Error({type(exc).__name__})",
+                        error=str(exc))
+        cells.append(cell)
+    results = measure_batch([plan for _, _, plan in measured])
+    for (cell, verdict, _), result in zip(measured, results):
+        verdict = verdict.with_ground_truth(result.n_value, config.eps_n)
         cell.update(n_value=verdict.n_value, omega_peak=verdict.omega_peak,
                     prominence=verdict.prominence, verdict=verdict.label)
-    except Exception as exc:    # isolate: one bad cell must not kill the sweep
-        cell.update(verdict=f"Error({type(exc).__name__})", error=str(exc))
-    return cell
+    return cells
 
 
 @dataclass(frozen=True)
@@ -197,10 +212,12 @@ def run_sweep(config: SweepConfig, out_dir=None) -> RegionMap:
                                       gamma=config.gamma, workers=n_workers)
         omega_threshold = threshold_frequency(boundary, v_grid=vs).omega_m
 
-    # delta-major, so a chunk of vs.size tasks is one delta column
-    tasks = [(config, k, delta, v, omega_threshold) for k, (delta, v)
-             in enumerate(product(deltas.tolist(), vs.tolist()))]
-    cells = parallel_map(_sweep_cell, tasks, n_workers, chunksize=vs.size)
+    # one task per delta column; cells are delta-major
+    tasks = [(config, j * vs.size, delta, vs.tolist(), omega_threshold)
+             for j, delta in enumerate(deltas.tolist())]
+    cells = [cell for column in parallel_map(_sweep_column, tasks,
+                                             n_workers, chunksize=1)
+             for cell in column]
 
     region_map = RegionMap(deltas=deltas, vs=vs, cells=cells,
                            omega_threshold=float(omega_threshold),

@@ -284,17 +284,19 @@ def _record_measure(monkeypatch):
     test on grid samples, or ("halving", t) for a halving pass's tree
     nodes, one row per bracket."""
     seen = []
-    positive, strides = nonmarkov._positive, nonmarkov._stride_signs
+    signs, strides = nonmarkov._signs, nonmarkov._stride_signs
 
-    def recording_positive(params, d, t):
+    def recording_signs(rows, t):
         seen.append(("scan" if np.ndim(t) == 1 else "halving", np.array(t)))
-        return positive(params, d, t)
+        return signs(rows, t)
 
-    def recording_strides(params, d, last, dt):
-        seen.append(("stride", np.arange(0, last + 1, STRIDE) * dt))
-        return strides(params, d, last, dt)
+    def recording_strides(plans):
+        seen.append(("stride", np.concatenate(
+            [np.arange(0, plan.last + 1, STRIDE) * plan.dt
+             for plan in plans])))
+        return strides(plans)
 
-    monkeypatch.setattr(nonmarkov, "_positive", recording_positive)
+    monkeypatch.setattr(nonmarkov, "_signs", recording_signs)
     monkeypatch.setattr(nonmarkov, "_stride_signs", recording_strides)
 
     def measure(params, dt=1e-3):
@@ -518,6 +520,39 @@ def test_measure_matches_the_plain_scan(point, log_gamma, grid,
     assert result.revival_intervals == plain.revival_intervals
 
 
+@settings(max_examples=60)
+@given(points=st.lists(st.tuples(SCAN_POINTS, st.floats(-12.0, 3.0),
+                                 MEASURE_GRIDS), min_size=1, max_size=8))
+# V = 0 between two points; scans shorter than 2 STRIDE samples, one
+# with a revival still open at its t_max; a revival open at t_max = 14
+# before another point; the float range's ends side by side
+@example(points=[((1.0, 0.3), 0.0, (1e-3, 14.0)),
+                 ((0.0, 0.3), 0.0, (1e-3, 14.0)),
+                 ((2.0, 2.0), 0.0, (1e-3, 3.0))])
+@example(points=[((2.0, 2.0), 0.0, (1e-2, 1.0)),
+                 ((1.0, 0.3), 0.0, (1e-2, 0.5)),
+                 ((0.5, 0.0), 0.0, (1e-3, 14.0))])
+@example(points=[((0.5, 0.0), 0.0, (1e-3, 14.0)),
+                 ((2.0, 2.0), 0.0, (1e-3, 14.0))])
+@example(points=[((1.0, 0.3), -300.0, (1e-3, 14.0)),
+                 ((1.2, -1.5), 300.0, (1e-3 / 0.3, 14.0))])
+def test_batch_matches_the_plain_scan(points, plain_measure):
+    # each point of a batch, whatever its neighbours, gets the plain grid
+    # scan's endpoints and N to the bit: no crossing runs across the seam
+    # between two points' scans
+    plans, plain = [], []
+    for (v, delta), log_gamma, (step, horizon) in points:
+        gamma = 10.0 ** log_gamma
+        params = ModelParams(v=v * gamma, delta=delta * gamma, gamma=gamma,
+                             t_max=horizon / gamma)
+        plans.append(nonmarkov.measure_plan(params, step / gamma))
+        plain.append(plain_measure(params, step / gamma))
+    batch = nonmarkov.measure_batch(plans)
+    for result, ref in zip(batch, plain, strict=True):
+        assert result.n_value == ref.n_value
+        assert result.revival_intervals == ref.revival_intervals
+
+
 @settings(max_examples=150)
 @given(point=SCAN_POINTS, log_gamma=st.floats(-12.0, 3.0),
        grid=MEASURE_GRIDS)
@@ -534,8 +569,8 @@ def test_sure_strides_keep_their_sign(point, log_gamma, grid):
     if params.v == 0:
         return
     dt, last = grid[0] / gamma, int(grid[1] / grid[0])
-    positive, sure = nonmarkov._stride_signs(params, splitting(params),
-                                             last, dt)
+    positive, sure = nonmarkov._stride_signs(
+        [nonmarkov.MeasurePlan(params, dt, last, splitting(params), last)])
     pos = sigma_positive(params, np.arange(last + 1) * dt)
     kept = np.logical_and.reduceat(
         pos == np.repeat(positive, STRIDE)[:last + 1],

@@ -499,7 +499,8 @@ def test_tail_bound_covers_the_bins_left(point, horizon, start):
     # tail(k0)
     params = ModelParams(v=point[0], delta=point[1], t_max=horizon[0])
     n = round(horizon[0] / horizon[1]) + 1
-    bins, tail = spectrum._shape_dft(params, n, horizon[1])
+    bins, tail = spectrum._shape_dft(params, splitting(params), n,
+                                     horizon[1])
     size = np.abs(bins(np.arange(1, n // 2 + 1)))
     k0 = 1 + round(start * (n // 2 - 1))
     assert tail(k0) >= size[k0 - 1:].max()

@@ -179,21 +179,38 @@ def test_auto_threshold():
     assert region.manifest()["omega_threshold"] == region.omega_threshold
 
 
-def test_error_isolation(tmp_path):
-    cfg = _config(v_min=-0.1, v_max=0.2, v_count=2,
+@pytest.mark.parametrize("v_min, v_max, bad, error, label", [
+    # V = -0.1 is refused by ModelParams
+    (-0.1, 0.2, 0, "ValueError", "Markovian"),
+    # the measure refuses V = 400 (its grid misses revivals), after the
+    # spectrum read its peak; V = 0.5 shares the column's measure batch
+    (0.5, 400.0, 1, "Unresolved", "NonMarkovianUndetectable"),
+])
+def test_error_isolation(tmp_path, v_min, v_max, bad, error, label):
+    cfg = _config(v_min=v_min, v_max=v_max, v_count=2,
                   delta_min=0.0, delta_max=0.0, delta_count=1)
     region = run_sweep(cfg, out_dir=tmp_path)
     cells = list(region.iter_cells())
-    assert cells[0]["verdict"] == "Error(ValueError)"
-    assert cells[0]["error"]
-    assert np.isnan(cells[0]["n_value"])
-    assert cells[1]["verdict"] == "Markovian"   # the sweep carries on
+    assert cells[bad]["verdict"] == f"Error({error})"
+    assert cells[bad]["error"]
+    assert np.isnan(cells[bad]["n_value"])
+    good = cells[1 - bad]
+    assert good["verdict"] == label     # the sweep carries on
+    verdict = classify(ModelParams(v=good["v"], delta=0.0, t_max=cfg.t_max),
+                       cfg.omega_threshold,
+                       min_prominence=cfg.min_prominence, ground_truth=True,
+                       dt=cfg.dt, eps_n=cfg.eps_n)
+    assert good["n_value"] == verdict.n_value
+    assert good["omega_peak"] == verdict.omega_peak
+    assert good["prominence"] == verdict.prominence
+    assert good["verdict"] == verdict.label
     assert not region.all_ok
     assert len(region.errors) == 1
     # the error row's NaN n_value and prominence are empty fields
-    row = (tmp_path / "cells.csv").read_text().splitlines()[1].split(",")
+    lines = (tmp_path / "cells.csv").read_text().splitlines()
+    row = lines[1 + bad].split(",")
     assert row[2] == "" and row[5] == ""
-    assert row[6] == "Error(ValueError)"
+    assert row[6] == f"Error({error})"
 
 
 @pytest.mark.parametrize("v_min, v_max", [
