@@ -181,10 +181,11 @@ def test_auto_threshold():
 
 @pytest.mark.parametrize("v_min, v_max, bad, error, label", [
     # V = -0.1 is refused by ModelParams
-    (-0.1, 0.2, 0, "ValueError", "Markovian"),
+    pytest.param(-0.1, 0.2, 0, "ValueError", "Markovian", id="ValueError"),
     # the measure refuses V = 400 (its grid misses revivals), after the
     # spectrum read its peak; V = 0.5 shares the column's measure batch
-    (0.5, 400.0, 1, "Unresolved", "NonMarkovianUndetectable"),
+    pytest.param(0.5, 400.0, 1, "Unresolved", "NonMarkovianUndetectable",
+                 id="Unresolved"),
 ])
 def test_error_isolation(tmp_path, v_min, v_max, bad, error, label):
     cfg = _config(v_min=v_min, v_max=v_max, v_count=2,
