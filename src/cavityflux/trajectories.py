@@ -44,7 +44,7 @@ from . import __version__
 from .dynamics import (DEFAULT_DT, FluxSeries, ModelParams,
                        amplitudes_analytic, flux_at, require_finite,
                        time_grid)
-from .files import write_csv, write_json
+from .files import mulhilo, write_csv, write_json
 
 # jump-time tolerance in units of 1/gamma: a draw's Newton iteration
 # stops once its step or its bracket is below JUMP_TOL / gamma;
@@ -131,17 +131,6 @@ def _philox_keys(master_seed: int, indices: np.ndarray):
     return state[0] | state[1] << 32, state[2] | state[3] << 32
 
 
-def _mulhilo(a, b):
-    """High and low 64-bit words of the 128-bit product of a uint64 array a
-    and a 64-bit integer b."""
-    a_lo, a_hi = a & _MASK32, a >> 32
-    b_lo, b_hi = b & _MASK32, b >> 32
-    hl, lh = a_hi * b_lo, a_lo * b_hi
-    cross = (a_lo * b_lo >> 32) + (hl & _MASK32) + (lh & _MASK32)
-    hi = a_hi * b_hi + (hl >> 32) + (lh >> 32) + (cross >> 32)
-    return hi, a * b
-
-
 def _philox4x64(counter, key):
     """Philox4x64-10 output block of a 4-word counter under uint64 keys.
 
@@ -155,8 +144,8 @@ def _philox4x64(counter, key):
     for r in range(_PHILOX_ROUNDS):
         if r:
             k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-            hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
-            hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+            hi0, lo0 = mulhilo(c0, _PHILOX_M[0])
+            hi1, lo1 = mulhilo(c2, _PHILOX_M[1])
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
     return c0, c1, c2, c3
 

@@ -1,8 +1,8 @@
 """Shared fixtures: acceptance-criterion reporting, the RK4 reference,
 the amplitude derivatives, the reference jump-time bisection, the plain
-reference measure and the gamma-scaled point; the one hypothesis profile
-of the property tests; and the import path of the CLI tests' child
-interpreters."""
+reference measure, the gamma-scaled point and the row-by-row CSV
+reference; the one hypothesis profile of the property tests; and the
+import path of the CLI tests' child interpreters."""
 
 import cmath
 import os
@@ -183,6 +183,31 @@ def scaled_point():
     14/gamma, with its default step 1e-3/gamma, as scaled_point(v,
     delta, gamma) -> (params, dt)."""
     return _scaled_point
+
+
+def _csv_reference(header, *columns):
+    def fields(column):
+        kind = np.asarray(column).dtype.kind
+        cells = (column.tolist() if isinstance(column, np.ndarray)
+                 else list(column))
+        if kind in "biu":
+            return ["%d" % x for x in cells]
+        if kind == "U":
+            return [x.replace(",", ";") for x in cells]
+        return ["" if x is None or x != x else "%.17g" % x for x in cells]
+
+    rows = zip(*map(fields, columns))
+    text = header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+    return text.encode()
+
+
+@pytest.fixture(scope="session")
+def csv_reference():
+    """The one CSV format, formatted cell by cell with Python's %: the
+    UTF-8 bytes csv_reference(header, *columns) that write_csv must
+    write.  Integer and boolean columns print as %d, text with "," as
+    ";", and every other column as %.17g, None and NaN empty."""
+    return _csv_reference
 
 
 def pytest_terminal_summary(terminalreporter):

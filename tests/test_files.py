@@ -4,16 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from cavityflux.files import write_csv, write_json
-
-
-def _float_field(x):
-    return "" if x is None or x != x else f"{x:.17g}"
+from cavityflux.files import _CSV_BLOCK_ROWS, write_csv, write_json
 
 
-def test_csv_matches_row_by_row_reference(tmp_path):
-    n = 2500                    # three blocks of rows
+def test_csv_matches_row_by_row_reference(tmp_path, csv_reference):
+    n = 2500
     rng = np.random.default_rng(3)
     floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     floats[:5] = [np.nan, -0.0, 1e16, 5e-324, 0.1]
@@ -26,20 +24,36 @@ def test_csv_matches_row_by_row_reference(tmp_path):
     text = ["Error(a, b)" if k % 7 == 0 else "Markovian" for k in range(n)]
 
     path = tmp_path / "out.csv"
-    write_csv(path, "x,i,flag,maybe,text", floats, ints, flags, maybe, text)
-
-    expected = "x,i,flag,maybe,text\n" + "".join(
-        f"{_float_field(x)},{i:d},{int(b):d},{_float_field(m)},"
-        f"{t.replace(',', ';')}\n"
-        for x, i, b, m, t in zip(floats.tolist(), ints.tolist(),
-                                 flags.tolist(), maybe, text))
-    assert path.read_text() == expected
+    header = "x,i,flag,maybe,text"
+    write_csv(path, header, floats, ints, flags, maybe, text)
+    assert path.read_bytes() == csv_reference(header, floats, ints, flags,
+                                              maybe, text)
 
 
+def test_csv_fast_range_matches_reference(tmp_path, csv_reference):
+    # the integer-arithmetic range of the float format, densely: every
+    # decade of [1e-3, 2**52), random mantissas, 17-digit ties and the
+    # neighbours of every power of ten, of either sign
+    rng = np.random.default_rng(26)
+    n = 20000
+    ties = rng.integers(10 ** 15, 2 ** 51, n // 4) + rng.choice([0.25, 0.75],
+                                                                n // 4)
+    powers = 10.0 ** np.arange(-3, 16)
+    x = np.concatenate([10.0 ** rng.uniform(-3, np.log10(2.0 ** 52), n),
+                        ties, powers, np.nextafter(powers, 0),
+                        np.nextafter(powers, np.inf)])
+    x *= rng.choice([-1.0, 1.0], x.size)
+    path = tmp_path / "out.csv"
+    write_csv(path, "x", x)
+    assert path.read_bytes() == csv_reference("x", x)
 
-# block edges at 1024 rows, and cells that a format string could misread
-@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
-def test_csv_block_edges_and_awkward_cells(tmp_path, n):
+
+# block edges, at 1024 rows and at the writer's block, and cells that a
+# format string could misread
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049,
+                               _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                               _CSV_BLOCK_ROWS + 1, 2 * _CSV_BLOCK_ROWS + 1])
+def test_csv_block_edges_and_awkward_cells(tmp_path, csv_reference, n):
     rng = np.random.default_rng(n)
     first = rng.standard_normal(n) * 1e300
     second = rng.standard_normal(n)
@@ -51,13 +65,64 @@ def test_csv_block_edges_and_awkward_cells(tmp_path, n):
         first[n // 2], second[n // 2] = np.inf, -np.inf
         first[-1] = second[-1] = np.nan     # every float cell of a row
     path = tmp_path / "out.csv"
-    write_csv(path, "first,i,second,text", first, ints, second, text)
+    header = "first,i,second,text"
+    write_csv(path, header, first, ints, second, text)
+    assert path.read_bytes() == csv_reference(header, first, ints, second,
+                                              text)
 
-    expected = "first,i,second,text\n" + "".join(
-        f"{_float_field(a)},{i:d},{_float_field(b)},{t.replace(',', ';')}\n"
-        for a, i, b, t in zip(first.tolist(), ints.tolist(),
-                              second.tolist(), text))
-    assert path.read_text() == expected
+
+# the neighbours of the formatter's edges: 1e-3, each power of ten, 2**52
+_EDGES = sorted({float(x) for edge in [1e-3, 2.0 ** 52,
+                                       *10.0 ** np.arange(-4, 18)]
+                 for x in np.nextafter(edge, [0.0, edge, np.inf])})
+_MAGNITUDE = st.one_of(
+    st.floats(1e-3, 2.0 ** 52, exclude_max=True),
+    st.sampled_from(_EDGES),
+    # 17-digit ties: exact below 2**51, where the ulp is at most 1/4
+    st.integers(10 ** 15, 2 ** 52 - 1).map(lambda n: n + 0.25),
+    st.integers(10 ** 15, 2 ** 52 - 1).map(lambda n: n + 0.75))
+_FLOAT = st.one_of(st.floats(), _MAGNITUDE, _MAGNITUDE.map(lambda x: -x))
+_INT = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+                 st.sampled_from([-2 ** 63, 2 ** 63 - 1, 1 - 2 ** 63, 0]))
+_TEXT = st.one_of(st.text("a%,;sdγé字😀", max_size=5),
+                  st.sampled_from(["", "Error(γ, 1%)", "%d,%.17g", "Ω,"]))
+
+
+@st.composite
+def _columns(draw):
+    n = draw(st.integers(0, 8))
+    cells = lambda cell: draw(st.lists(cell, min_size=n, max_size=n))
+    return (cells(st.one_of(st.none(), _FLOAT)),
+            np.array(cells(_INT), dtype=np.int64),
+            np.array(cells(st.booleans()), dtype=bool), cells(_TEXT))
+
+
+@given(_columns())
+@example(([2.0 ** 51 - 0.75, 1e15 + 0.25, None, float("nan")],
+          np.array([-2 ** 63, 2 ** 63 - 1, 0, -1]),
+          np.array([True, False, True, False]), ["γ,%d", "", "%", ","]))
+def test_csv_matches_reference_on_drawn_cells(tmp_path_factory,
+                                               csv_reference, columns):
+    path = tmp_path_factory.getbasetemp() / "drawn.csv"
+    header = "x,i,flag,text"
+    write_csv(path, header, *columns)
+    assert path.read_bytes() == csv_reference(header, *columns)
+
+
+@pytest.mark.parametrize("text", [["ok", "a\0"], ["\0"],
+                                  np.array(["ok", "a\0b"])],
+                         ids=["trailing", "alone", "inside"])
+def test_csv_refuses_nul_in_text(tmp_path, text):
+    with pytest.raises(ValueError, match="'verdict'"):
+        write_csv(tmp_path / "out.csv", "x,verdict", [1.0] * len(text), text)
+
+
+def test_csv_without_rows_writes_its_header(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, "x,i,flag,text", np.zeros(0), np.zeros(0, np.int64),
+              np.zeros(0, bool), np.array([], dtype=str))
+    assert path.read_bytes() == b"x,i,flag,text\n"
+
 
 def test_csv_rejects_columns_of_different_length(tmp_path):
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ import cavityflux
 from cavityflux import trajectories
 from cavityflux.dynamics import (DEFAULT_DT, ModelParams, flux_at,
                                  photon_flux_analytic, time_grid)
+from cavityflux.files import _CSV_BLOCK_ROWS
 from cavityflux.nonmarkov import nm_measure
 from cavityflux.trajectories import (
     JUMP_BLOCK,
@@ -484,7 +485,7 @@ def test_residual_identity_and_no_counts():
     assert stats.summary() == "rms=0"
 
 
-def test_record_csv(tmp_path):
+def test_record_csv(tmp_path, csv_reference):
     record = sample_jump_times(ModelParams(v=0.3, delta=0.0), 25,
                                master_seed=8)
     path = tmp_path / "jumps.csv"
@@ -494,13 +495,13 @@ def test_record_csv(tmp_path):
     assert len(lines) == 26
     n_empty = sum(1 for line in lines[1:] if line.endswith(","))
     assert n_empty == 25 - record.n_jumps
-    # row by row, the reference format; 2500 rows span three write blocks
-    for record in (record, sample_jump_times(STRONG, 2500, master_seed=8)):
+    # row by row, the reference format, over three write blocks
+    for record in (record, sample_jump_times(STRONG, 2 * _CSV_BLOCK_ROWS + 1,
+                                             master_seed=8)):
         record.to_csv(path)
-        expected = "trajectory_index,jump_time\n" + "".join(
-            f"{i},{'' if np.isnan(jt) else format(jt, '.17g')}\n"
-            for i, jt in enumerate(record.jump_times))
-        assert path.read_text() == expected
+        assert path.read_bytes() == csv_reference(
+            "trajectory_index,jump_time", np.arange(record.n_traj),
+            record.jump_times)
 
 
 def test_manifest(tmp_path):
