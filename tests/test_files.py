@@ -11,7 +11,7 @@ from cavityflux.files import _CSV_BLOCK_ROWS, write_csv, write_json
 
 
 def test_csv_matches_row_by_row_reference(tmp_path, csv_reference):
-    n = 2500
+    n = 2 * _CSV_BLOCK_ROWS + 500      # three blocks of rows
     rng = np.random.default_rng(3)
     floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     floats[:5] = [np.nan, -0.0, 1e16, 5e-324, 0.1]
@@ -28,24 +28,6 @@ def test_csv_matches_row_by_row_reference(tmp_path, csv_reference):
     write_csv(path, header, floats, ints, flags, maybe, text)
     assert path.read_bytes() == csv_reference(header, floats, ints, flags,
                                               maybe, text)
-
-
-def test_csv_fast_range_matches_reference(tmp_path, csv_reference):
-    # the integer-arithmetic range of the float format, densely: every
-    # decade of [1e-3, 2**52), random mantissas, 17-digit ties and the
-    # neighbours of every power of ten, of either sign
-    rng = np.random.default_rng(26)
-    n = 20000
-    ties = rng.integers(10 ** 15, 2 ** 51, n // 4) + rng.choice([0.25, 0.75],
-                                                                n // 4)
-    powers = 10.0 ** np.arange(-3, 16)
-    x = np.concatenate([10.0 ** rng.uniform(-3, np.log10(2.0 ** 52), n),
-                        ties, powers, np.nextafter(powers, 0),
-                        np.nextafter(powers, np.inf)])
-    x *= rng.choice([-1.0, 1.0], x.size)
-    path = tmp_path / "out.csv"
-    write_csv(path, "x", x)
-    assert path.read_bytes() == csv_reference("x", x)
 
 
 # block edges, at 1024 rows and at the writer's block, and cells that a
@@ -88,6 +70,24 @@ _TEXT = st.one_of(st.text("a%,;sdγé字😀", max_size=5),
                   st.sampled_from(["", "Error(γ, 1%)", "%d,%.17g", "Ω,"]))
 
 
+def _dense_fast_range():
+    """Columns whose floats fill the integer-arithmetic range of the float
+    format densely: every decade of [1e-3, 2**52), random mantissas,
+    17-digit ties and the neighbours of every power of ten, of either
+    sign."""
+    rng = np.random.default_rng(26)
+    n = 20000
+    ties = rng.integers(10 ** 15, 2 ** 51, n // 4) + rng.choice([0.25, 0.75],
+                                                                n // 4)
+    powers = 10.0 ** np.arange(-3, 16)
+    x = np.concatenate([10.0 ** rng.uniform(-3, np.log10(2.0 ** 52), n),
+                        ties, powers, np.nextafter(powers, 0),
+                        np.nextafter(powers, np.inf)])
+    x *= rng.choice([-1.0, 1.0], x.size)
+    return (x, rng.integers(-2 ** 63, 2 ** 63 - 1, x.size, dtype=np.int64),
+            rng.random(x.size) < 0.5, ["%d,γ"] * x.size)
+
+
 @st.composite
 def _columns(draw):
     n = draw(st.integers(0, 8))
@@ -101,6 +101,7 @@ def _columns(draw):
 @example(([2.0 ** 51 - 0.75, 1e15 + 0.25, None, float("nan")],
           np.array([-2 ** 63, 2 ** 63 - 1, 0, -1]),
           np.array([True, False, True, False]), ["γ,%d", "", "%", ","]))
+@example(_dense_fast_range())
 def test_csv_matches_reference_on_drawn_cells(tmp_path_factory,
                                                csv_reference, columns):
     path = tmp_path_factory.getbasetemp() / "drawn.csv"
