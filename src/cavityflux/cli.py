@@ -61,18 +61,26 @@ def parse_args(parser, argv=None) -> argparse.Namespace:
     """Flags over --config over defaults, then gamma units made absolute.
 
     Config values become the subcommand's defaults as strings, so the
-    second parse types them as it types flags; other keys are ignored,
-    and a null value counts as not given.  Every float flag must be
-    finite, each flag in BOUNDS that is given past its lower bound, and
-    --v-hi past --v-lo, --bin within --t-max and --dt fine enough for
-    --t-max, or it is a usage error in the units of the flags.
+    second parse types them as it types flags; a switch takes only a
+    JSON true or false, and no other flag takes either.  Other keys are
+    ignored, and a null value counts as not given.  Every float flag
+    must be finite, each flag in BOUNDS that is given past its lower
+    bound, and --v-hi past --v-lo, --bin within --t-max and --dt fine
+    enough for --t-max, or it is a usage error in the units of the flags.
     """
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        config = {key: value if isinstance(value, bool) else str(value)
+        config = {key: value
                   for key, value in _load_config(args.config).items()
                   if key in vars(args) and key not in ("command", "func")
                   and value is not None}
+        for key, value in config.items():
+            switch = isinstance(getattr(args, key), bool)   # a switch
+            if isinstance(value, bool) != switch:
+                raise ValueError(
+                    f"config key {key} must {'' if switch else 'not '}be "
+                    f"true or false, got {json.dumps(value)}")
+            config[key] = value if switch else str(value)
         parser.commands[args.command].set_defaults(**config)
         args = parser.parse_args(argv)
     for key in ("v", "delta"):

@@ -35,13 +35,20 @@ DEFAULT_T_MAX = 14.0
 DEFAULT_DT = 1e-3
 
 
-def require_finite(name: str, value, low=None, strict: bool = False):
-    """The one input rule: value, if it is finite and >= low (> low when
-    strict); otherwise a ValueError that names the field.
+def require_finite(name: str, value, low=None, strict: bool = False,
+                   integer: bool = False):
+    """The one input rule: value, if it is a finite number >= low (> low
+    when strict); otherwise a ValueError that names the field.
 
-    A Python int is finite however large, so it skips the float test,
-    which would overflow past 2**1024 (a master seed may be that long).
+    A bool is never a number.  A field marked integer takes only an int
+    or a NumPy integer (2.0 is not an integer).  A Python int is finite
+    however large, so it skips the float test, which would overflow past
+    2**1024 (a master seed may be that long).
     """
+    if isinstance(value, (bool, np.bool_)) or (
+            integer and not isinstance(value, (int, np.integer))):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
     if ((isinstance(value, int) or math.isfinite(value))
             and (low is None or (value > low if strict else value >= low))):
         return value

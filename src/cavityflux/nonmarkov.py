@@ -7,46 +7,20 @@ its revivals:
     N = sum over intervals where sigma(t) = d|c|^2/dt > 0
         of |c(t_end)|^2 - |c(t_start)|^2
 
-evaluated by telescoping over exactly located interval endpoints, which
-removes quadrature error.  Revival detection on the grid uses the strict
-sign of sigma: near the boundary revivals are exponentially small in
-Gamma t but keep a clean floating-point sign, while any absolute cutoff
-would swallow them and bias the boundary location.
-
-The measure and the Markovian boundary take that sign from
-sigma_positive, a form in d and gamma that drops the decaying envelopes
-and divides by nothing: it cannot overflow at any horizon or coupling,
-d = 0 included, and revivals keep their sign after the envelope
-underflows, so revival intervals run to the horizon.  sign_map takes
-both the population's and the flux's slope sign from the same terms,
-so its flux map runs to the horizon too.  Past the revival-free time t*
-of revival_free_after no revival occurs, so the measure scans the grid
-once, through its first sample past t*, and the whole grid only when t*
-is infinite; each endpoint found is then refined by the same 17 halvings
-of its one-step bracket, a count in units of dt, so N does not change
-when every input is rescaled by gamma.  The scan reads one sign per
-stride of STRIDE samples where a bound on the slope of sigma's sign
-form certifies it for the whole stride, and tests every sample of the
-other strides; the halvings run as bisection trees, one sign pass per
-HALVING_PASSES entry.  Both give the plain grid scan's and the one-by-
-one halvings' results to the bit.
-
-The measure runs in two parts.  measure_plan takes one point's checks,
-d, t* and the scan's last sample, and raises where the point is
-refused.  measure_batch then measures many planned points together:
-one stride pass, one sign pass over the samples the strides leave, and
-one bisection tree per HALVING_PASSES entry, with each point's d and
-gamma given per row, so every point gets the float operations of its
-own scan.  A sweep measures each delta column as one batch, and
-nm_measure is the batch of one point.  Each boundary probe scans the
-first SCAN_HEAD samples first and stops at a revival there; only probes
-without one scan the rest of the grid.
+telescoped over located interval endpoints, with no quadrature error.
+Revivals are found by the strict sign of sigma: near the boundary they
+are exponentially small in Gamma t but keep a clean floating-point
+sign, while any absolute cutoff would swallow them and bias the
+boundary.  The measure, the boundary and sign_map all take that sign
+from sigma_positive's terms, which overflow at no horizon or coupling,
+so revival intervals and sign maps run to the horizon.  The measure
+counts its scan and halvings in units of dt, so N does not change when
+every input is rescaled by gamma.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -101,6 +75,15 @@ def _row(params: ModelParams, d: complex, unit: float = 1.0):
     du = d / unit
     return du, (-0.5 * d.real, -0.25 * d.imag, 2.0 * du.real, 2.0 * du.imag,
                 du.real - params.gamma / unit)
+
+
+def _scaled_row(params: ModelParams, d: complex):
+    """(unit, d / unit, row): _row in units of the power of two above
+    gamma + |delta| + |d|, the sign readers' unit, in which no term of
+    their tests leaves float range at any scale."""
+    unit = math.ldexp(1.0, math.frexp(params.gamma + abs(params.delta)
+                                      + abs(d))[1])
+    return (unit, *_row(params, d, unit))
 
 
 def _sign_terms(factors, t):
@@ -261,9 +244,8 @@ def _stride_signs(plans):
     """
     terms = []
     for plan in plans:
-        gamma, delta, d = plan.params.gamma, plan.params.delta, plan.d
-        unit = math.ldexp(1.0, math.frexp(gamma + abs(delta) + abs(d))[1])
-        du, row = _row(plan.params, d, unit)
+        gamma, delta = plan.params.gamma, plan.params.delta
+        unit, du, row = _scaled_row(plan.params, plan.d)
         gu, gg = gamma / unit, (gamma + 2j * delta) / unit
         tau = 1e-9 * (abs(du + gg) + abs(du - gg))
         terms.append((*row, du.real * abs(gu - du.real),
@@ -491,16 +473,14 @@ def resolve_workers(workers=None) -> int:
     An empty NM_WORKERS counts as unset; counts clamp to at least one.
     A count that is not an integer raises a ValueError naming its source.
     """
-    name = "workers"
-    if workers is None:
-        name, workers = "NM_WORKERS", os.environ.get("NM_WORKERS") or "1"
+    if workers is not None:
+        return max(1, int(require_finite("workers", workers, integer=True)))
+    workers = os.environ.get("NM_WORKERS") or "1"
     try:
-        count = (int(workers) if isinstance(workers, str)
-                 else operator.index(workers))
-    except (TypeError, ValueError):
+        return max(1, int(workers))
+    except ValueError:
         raise ValueError(
-            f"{name} must be an integer, got {workers!r}") from None
-    return max(1, count)
+            f"NM_WORKERS must be an integer, got {workers!r}") from None
 
 
 def parallel_map(fn, tasks, n_workers: int, chunksize: int) -> list:
@@ -598,11 +578,11 @@ def sign_map(axis: str, fixed_value: float, param_values,
 
         dR/dt > 0  <=>  2 Re(conj(d) s) > (Re d + gamma) |s|^2.
 
-    Both are taken with d and gamma in units of the power of two nearest
-    above gamma + |delta|, so neither side underflows at a small scale.
-    Where |s|^2 would, |d| <= 1e-150 (gamma + |delta|), b_pos is the
-    d = 0 limit t (4 - gamma t) > 0.  Neither map carries the decaying
-    envelope, so both run to any horizon.
+    Both are taken with d and gamma in units of the power of two above
+    gamma + |delta| + |d| (_scaled_row), so neither side underflows at a
+    small scale.  Where |s|^2 would, |d| <= 1e-150 (gamma + |delta|),
+    b_pos is the d = 0 limit t (4 - gamma t) > 0.  Neither map carries
+    the decaying envelope, so both run to any horizon.
     """
     if axis not in ("delta", "v"):
         raise ValueError(f"axis must be 'delta' or 'v', got {axis!r}")
@@ -615,8 +595,7 @@ def sign_map(axis: str, fixed_value: float, param_values,
         params = ModelParams(v=v, delta=delta, gamma=gamma, t_max=t_max)
         if v == 0:
             continue        # no coupling: c stays 1 and no photon leaves
-        unit = math.ldexp(1.0, math.frexp(gamma + abs(delta))[1])
-        d, row = _row(params, splitting(params), unit)
+        unit, d, row = _scaled_row(params, splitting(params))
         a, q = _sign_terms(row[:4], times)
         g = gamma / unit
         c_pos[i] = a < row[4] * q

@@ -11,7 +11,6 @@ and versions but no timestamps, keeping reruns byte-identical.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -71,15 +70,6 @@ class SweepConfig:
     workers: int | None = None   # None = NM_WORKERS, else 1
 
     def __post_init__(self):
-        for name in ("v_count", "delta_count", "n_traj", "master_seed"):
-            value = getattr(self, name)
-            if value is None and name == "master_seed":
-                continue
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(
-                    f"{name} must be an integer, got {value!r}") from None
         for name in ("v_min", "delta_min", "bin_width", "min_prominence",
                      "eps_n"):
             require_finite(name, getattr(self, name))
@@ -88,13 +78,13 @@ class SweepConfig:
         for name in ("gamma", "t_max", "dt"):
             require_finite(name, getattr(self, name), 0, strict=True)
         for name, low in (("v_count", 1), ("delta_count", 1), ("n_traj", 0)):
-            require_finite(name, getattr(self, name), low)
+            require_finite(name, getattr(self, name), low, integer=True)
         if self.omega_threshold is not None:
             require_finite("omega_threshold", self.omega_threshold, 0)
         if self.workers is not None:
             resolve_workers(self.workers)
         if self.master_seed is not None:
-            require_finite("master_seed", self.master_seed, 0)
+            require_finite("master_seed", self.master_seed, 0, integer=True)
         elif self.n_traj > 0:
             raise ValueError("master_seed required when n_traj > 0")
         # the spectrum of a sampled flux needs at least 2 bins
@@ -276,7 +266,7 @@ def figure_datasets(figure_id: int, out_dir) -> list:
 
     Grid sizes and time steps are the module's FIG_* constants.
     """
-    if figure_id not in FIGURE_IDS:
+    if require_finite("figure_id", figure_id, integer=True) not in FIGURE_IDS:
         raise UnknownFigure(f"figure id must be one of {FIGURE_IDS}, "
                             f"got {figure_id}")
     out = Path(out_dir)

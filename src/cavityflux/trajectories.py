@@ -280,11 +280,11 @@ def sample_jump_times(params: ModelParams, n_traj: int, master_seed: int,
     so the working memory does not grow with n_traj; each draw depends
     on its index alone, so the record does not depend on the blocking.
     """
-    require_finite("n_traj", n_traj, 1)
+    require_finite("n_traj", n_traj, 1, integer=True)
     if n_traj > MAX_TRAJECTORIES:
         raise ValueError(
             f"n_traj must be <= {MAX_TRAJECTORIES}, got {n_traj}")
-    if master_seed < 0:
+    if require_finite("master_seed", master_seed, integer=True) < 0:
         raise ValueError(
             f"master_seed must be a non-negative integer, got {master_seed}")
     times = time_grid(params.t_max, dt)
@@ -308,7 +308,7 @@ def estimate_flux(params: ModelParams, n_traj: int,
     [0, T]; a trailing partial bin is dropped with a warning.  Pass a
     precomputed record to bin an existing ensemble.
     """
-    if not 0 < bin_width <= params.t_max:
+    if not 0 < require_finite("bin_width", bin_width) <= params.t_max:
         raise InvalidBinning(
             f"bin_width must be in (0, t_max], got {bin_width}")
     if record is None:

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from cavityflux import cli
 from cavityflux.dynamics import (FluxSeries, ModelParams, require_finite,
                                  time_grid)
-from cavityflux.nonmarkov import markovian_boundary, nm_measure, sign_map
+from cavityflux.nonmarkov import (markovian_boundary, nm_measure,
+                                  resolve_workers, sign_map)
 from cavityflux.spectrum import classify, dft
-from cavityflux.sweep import SweepConfig
+from cavityflux.sweep import SweepConfig, figure_datasets
 from cavityflux.trajectories import estimate_flux, sample_jump_times
 
 NAN, INF = float("nan"), float("inf")
@@ -106,6 +107,31 @@ LIBRARY = {
         FluxSeries(np.arange(3) * 0.1, np.array([1.0, INF, 2.0]))))),
     "sweep-workers-float": ("workers", lambda: SweepConfig(**GRID,
                                                            workers=2.5)),
+    # a bool is never a number, and an integer field takes only integers
+    "sweep-v_count-bool": ("v_count", lambda: SweepConfig(
+        **{**GRID, "v_count": True})),
+    "sweep-master_seed-bool": ("master_seed", lambda: SweepConfig(
+        **GRID, n_traj=10, master_seed=True)),
+    "sweep-workers-bool": ("workers", lambda: SweepConfig(**GRID,
+                                                          workers=True)),
+    "params-v-bool": ("v", lambda: ModelParams(v=True, delta=0.0)),
+    "grid-dt-bool": ("dt", lambda: time_grid(14.0, True)),
+    "boundary-workers-bool": ("workers", lambda: markovian_boundary(
+        [0.0], workers=True)),
+    "classify-min_prominence-bool": ("min_prominence", lambda: classify(
+        PARAMS, 1.8, min_prominence=True)),
+    "jumps-n_traj-float": ("n_traj must be an integer, got 2.5",
+                           lambda: sample_jump_times(PARAMS, 2.5, 1)),
+    "jumps-n_traj-bool": ("n_traj", lambda: sample_jump_times(PARAMS, True,
+                                                              1)),
+    "jumps-master_seed-bool": ("master_seed", lambda: sample_jump_times(
+        PARAMS, 10, True)),
+    "jumps-master_seed-float": ("master_seed", lambda: sample_jump_times(
+        PARAMS, 10, 1.5)),
+    "estimate-n_traj-float": ("n_traj", lambda: estimate_flux(PARAMS, 2.5,
+                                                              0.1, 1)),
+    "estimate-bin-bool": ("bin_width", lambda: estimate_flux(
+        PARAMS, 10, bin_width=True, master_seed=1)),
 }
 
 # the sweep configs that the CLI rows read, one bad field each; a key
@@ -117,6 +143,7 @@ SWEEP_CONFIGS = {
     "master_seed-float": {**GRID, "n_traj": 10, "master_seed": 1.5},
     "bin_width": {**GRID, "n_traj": 10, "master_seed": 1, "bin_width": 10.0},
     "workers": {**GRID, "workers": 2.5},
+    "v_count-bool": {**GRID, "v_count": True},
 }
 
 # each runs in its own interpreter, since a zero or negative tolerance
@@ -305,3 +332,69 @@ def test_long_integer_passes_the_rule():
     # an int past float range is finite, so a long master seed is valid
     assert require_finite("master_seed", 2**1100, 0) == 2**1100
     SweepConfig(**GRID, n_traj=10, master_seed=2**1100)
+
+
+@pytest.mark.parametrize("case", sorted(k for k in CONTRACT
+                                        if not k.startswith("cli-")))
+def test_rule_refuses_bools_and_integer_floats(case):
+    # a bool is never a number; an integer field refuses 2.0 and 2.5
+    field, _, _, integer, call = CONTRACT[case]
+    for value in (True, np.False_, *((2.0, 2.5) if integer else ())):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value).startswith(f"{field} must be"), info.value
+
+
+def test_numpy_integers_pass_the_rule():
+    config = SweepConfig(**{**GRID, "v_count": np.int64(2)},
+                         n_traj=np.int32(10), master_seed=np.uint64(2**63),
+                         workers=np.int64(1))
+    assert config.v_values().size == 2
+    assert resolve_workers(np.int64(3)) == 3
+    assert require_finite("n_traj", np.uint8(5), 1, integer=True) == 5
+
+
+@pytest.mark.parametrize("figure_id", [True, 2.0])
+def test_figure_id_is_an_integer(figure_id, tmp_path):
+    with pytest.raises(ValueError, match="figure_id must be an integer"):
+        figure_datasets(figure_id, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+# --config values that a flag would not take: a switch takes only a JSON
+# true or false, and no other flag takes either
+CONFIG_VALUES = {
+    "measure-v": ("v", ["measure"], {"v": True, "delta": 0}),
+    "measure-delta": ("delta", ["measure"], {"v": 1, "delta": False}),
+    "mcwf-n_traj": ("n_traj", ["mcwf", "--out", "mc"],
+                    {"v": 1, "delta": 0, "n_traj": True}),
+    "classify-ground_truth": ("ground_truth", ["classify"], {
+        "v": 1, "delta": 0, "omega_threshold": 1.8,
+        "ground_truth": "false"}),
+    "classify-strict": ("strict", ["classify"], {
+        "v": 0, "delta": 0, "omega_threshold": 1.8, "strict": "false"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_VALUES))
+def test_config_value_is_typed_by_its_flag(case, tmp_path, monkeypatch,
+                                           capsys):
+    key, argv, values = CONFIG_VALUES[case]
+    (tmp_path / "cfg.json").write_text(json.dumps(values))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main([*argv, "--config", "cfg.json"])
+    assert info.value.code == 2
+    assert f"config key {key} must" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("switch", [True, False])
+def test_config_switch_takes_a_json_boolean(switch, tmp_path, capsys):
+    # at V = 0 the flux is zero: --strict exits 1 on it
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"v": 0, "delta": 0, "omega_threshold": 1.8,
+                                  "strict": switch, "ground_truth": switch}))
+    assert cli.main(["classify", "--config", str(config)]) == int(switch)
+    verdict = json.loads(capsys.readouterr().out)
+    assert (verdict["n_value"] is not None) == switch

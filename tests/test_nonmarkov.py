@@ -696,6 +696,21 @@ def test_boundary_defaults_are_in_units_of_gamma(gamma):
                     atol=reference.tol_v)
 
 
+@settings(max_examples=40)
+@given(log_gamma=st.floats(-12.0, 3.0),
+       deltas=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2))
+def test_boundary_is_gamma_invariant(log_gamma, deltas):
+    # every input scaled by gamma: V_c scales with it, to rounding, and
+    # the same columns stay unbracketed, of the same kind
+    gamma = 10.0 ** log_gamma
+    deltas = np.array(deltas)
+    curve = markovian_boundary(deltas * gamma, gamma=gamma, workers=1)
+    reference = markovian_boundary(deltas, workers=1)
+    assert [kind for _, kind in curve.unbracketed] == \
+        [kind for _, kind in reference.unbracketed]
+    assert_allclose(curve.v_c / gamma, reference.v_c, rtol=1e-14, atol=0)
+
+
 def test_boundary_resonant():
     curve = markovian_boundary([0.0])
     assert curve.unbracketed == []

@@ -170,6 +170,24 @@ def test_verdict_coherence():
             assert cell["verdict"] == "Markovian"
 
 
+@pytest.mark.parametrize("n_traj,master_seed",
+                         [(1000, 1), (1000, 3), (4000, 1), (4000, 7)])
+def test_sampled_record_never_flags_a_markovian_cell(n_traj, master_seed):
+    # the paper's claim: a line above Omega_M in the monitored flux alone
+    # means N > 0; a detector that reads any line as a detection (threshold
+    # 0) flags at least one Markovian cell at each of these seeds
+    config = SweepConfig(v_min=0.05, v_max=1.2, v_count=6, delta_min=0.0,
+                         delta_max=2.0, delta_count=6, n_traj=n_traj,
+                         master_seed=master_seed,
+                         omega_threshold=1.8169543, workers=1)
+    region = run_sweep(config)
+    assert region.all_ok
+    detected = [c["n_value"] for c in region.iter_cells()
+                if c["verdict"] == "NonMarkovianDetected"]
+    assert detected and min(detected) > config.eps_n
+    assert any(c["verdict"] == "Markovian" for c in region.iter_cells())
+
+
 def test_auto_threshold():
     cfg = SweepConfig(v_min=0.05, v_max=1.2, v_count=4,
                       delta_min=0.0, delta_max=1.0, delta_count=3)
