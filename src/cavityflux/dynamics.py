@@ -109,6 +109,8 @@ class ModelParams:
         require_finite("v", self.v, 0)
         require_finite("delta", self.delta)
         require_finite("t_max", self.t_max, 0, strict=True)
+        if isinstance(self.c0_init, (bool, np.bool_)):
+            raise ValueError(f"c0_init must be a number, got {self.c0_init!r}")
         c0 = complex(self.c0_init)
         if not (cmath.isfinite(c0) and abs(c0) <= 1.0 + 1e-12):
             raise ValueError(f"c0_init must be finite with |c0_init| <= 1, "
@@ -214,11 +216,6 @@ class AmplitudeSeries:
         """Analytic photon flux R(t) = gamma |b(t)|^2 on the same grid."""
         return FluxSeries(times=self.times,
                           values=gamma * self.mode_population())
-
-    def survival(self) -> np.ndarray:
-        """Squared norm of the unnormalised state (no-jump probability)."""
-        return (np.abs(self.c_values) ** 2 + np.abs(self.b_values) ** 2
-                + self.c0_ground ** 2)
 
     def to_csv(self, path):
         write_csv(path, "t,re_c,im_c,re_b,im_b", self.times,

@@ -40,8 +40,8 @@ RESOLUTION = math.pi / 2
 # samples per stride of the measure's sign scan, whose first sample and
 # a bound on the slope of sigma's sign form certify one sign for all
 STRIDE = 64
-# levels of the endpoints' halving tree per sign pass: 17 halvings
-HALVING_PASSES = (6, 6, 5)
+# halvings of each revival endpoint's one-step bracket: dt / 2^17
+HALVINGS = 17
 
 # boundary defaults, in units of gamma
 BOUNDARY_V_SEARCH = (0.05, 1.2)
@@ -124,14 +124,10 @@ def sigma_positive(params: ModelParams, t):
     -2 V^2 |c0|^2 t e^{-gamma t/2} (1 + gamma t/4) <= 0.  Re d >= 0
     keeps |u| <= 1, so nothing overflows at any horizon or coupling.
     """
-    return _positive(params, splitting(params), np.asarray(t, dtype=float))
-
-
-def _positive(params: ModelParams, d: complex, t):
-    """sigma_positive at the float times t, given d = splitting(params)."""
+    t = np.asarray(t, dtype=float)
     if params.v == 0 or complex(params.c0_init) == 0:
         return np.zeros(t.shape, dtype=bool)
-    return _signs(_row(params, d)[1], t)
+    return _signs(_row(params, splitting(params))[1], t)
 
 
 def revival_free_after(params: ModelParams) -> float:
@@ -178,12 +174,6 @@ class NMResult:
     dt: float
 
 
-def _require_unit_c0(params):
-    if complex(params.c0_init) != 1.0 + 0.0j:
-        raise UnsupportedInitialState(
-            f"measure requires c(0) = 1, got {params.c0_init}")
-
-
 class MeasurePlan(NamedTuple):
     """One point of a measure batch, checked: its step dt, the size n of
     its grid 0, dt, ..., n dt, its splitting d, and the last sample of
@@ -199,7 +189,9 @@ class MeasurePlan(NamedTuple):
 def measure_plan(params: ModelParams, dt: float) -> MeasurePlan:
     """nm_measure's checks and scan length at one point: each refusal
     raises here, before any sign is read."""
-    _require_unit_c0(params)
+    if complex(params.c0_init) != 1.0 + 0.0j:
+        raise UnsupportedInitialState(
+            f"measure requires c(0) = 1, got {params.c0_init}")
     n = grid_steps(params.t_max, dt)
     d = require_resolved(params, dt, RESOLUTION)
     # one scan, through the first sample past t*: no revival starts later.
@@ -223,10 +215,11 @@ def _spread(counts):
 
 def _stride_signs(plans):
     """(positive, sure) per stride of STRIDE samples of each plan's scan,
-    k dt for k = 0 .. last, the plans' strides in order: sigma_positive
-    at the stride's first sample, and whether that sign holds at every
-    sample of the stride.  For V > 0, where sigma_positive is F's sign
-    test (at V = 0 it is False, and the measure's scan ends at dt).
+    k dt for k = 0 .. last, the plans' strides in order: F's sign test
+    (below) at the stride's first sample, and whether that sign holds at
+    every sample of the stride.  For V > 0 the test is sigma_positive;
+    at V = 0, where sigma_positive is False, the scan is one stride
+    through dt, which is never sure.
 
     F = (gamma + Re d) + (gamma - Re d) r^2 + Re((2i Im d - 2 gamma) u),
     sigma_positive's form in u = e^{-d t/2}, r = |u|, has |F'| <= L =
@@ -235,12 +228,12 @@ def _stride_signs(plans):
     stride.  Where |F(t_s)| > L (t_e - t_s)(1 + 1e-6) + 2 tau, tau being
     revival_free_after's rounding bound, F keeps its sign, and the
     sign's computed test with it, through the stride's last sample t_e.
-    F(0) = 0, so the first stride is never sure, nor are strides near
-    d = 0, where F is tiny.  F is taken with sigma_positive's float
-    operations, and the bound with d, gamma and g in units of the power
-    of two above gamma + |delta| + |d|, so none of its terms leaves
-    float range at any scale.  Each point's terms are scalars, given to
-    its strides row by row.
+    F(0) = 0 and tau > 0, so the first stride is never sure, nor are
+    strides near d = 0, where F is tiny.  F is taken with sigma_positive's
+    float operations, and the bound with d, gamma and g in units of the
+    power of two above gamma + |delta| + |d|, so none of its terms
+    leaves float range at any scale.  Each point's terms are scalars,
+    given to its strides row by row.
     """
     terms = []
     for plan in plans:
@@ -270,30 +263,22 @@ def _brackets(plans, rows):
     plan's scan, sorted by point and k: rising where it turns True.
     rows holds each plan's _row.
 
-    A scan is read in groups of samples: a scan of at least 2 STRIDE
-    samples by stride, a shorter one whole.  Each sure stride
-    (_stride_signs) takes its first sample's sign, and every sample of
-    the other groups goes through the sign test, all in one pass.  A
-    crossing lies inside a tested group, or between two neighbouring
-    groups of one scan, where the first's last sign and the second's
-    first differ; none runs from one scan into the next.  So each scan's
-    crossings are the plain grid scan's, read without building its grid.
+    Every scan is read by stride.  Each sure stride (_stride_signs)
+    takes its first sample's sign, and every sample of the other strides
+    goes through the sign test, all in one pass.  A crossing lies inside
+    a tested stride, or between two neighbouring strides of one scan,
+    where the first's last sign and the second's first differ; none runs
+    from one scan into the next.  So each scan's crossings are the plain
+    grid scan's, read without building its grid.
     """
     last = np.array([plan.last for plan in plans])
     dt = np.array([plan.dt for plan in plans])
-    tiled = last >= 2 * STRIDE
-    size = np.where(tiled, STRIDE, last + 1)
-    point, rank = _spread(last // size + 1)
-    start = rank * size[point]
-    count = np.minimum(size[point], last[point] + 1 - start)
-    # each group's sign at its first sample, and whether all samples share it
-    first = np.zeros(point.size, dtype=bool)
-    sure = np.zeros(point.size, dtype=bool)
-    if tiled.any():
-        in_tiled = tiled[point]
-        first[in_tiled], sure[in_tiled] = _stride_signs(
-            [plan for plan, t in zip(plans, tiled) if t])
-    # the samples of the other groups, in one sign pass; signs[at] opens each
+    point, rank = _spread(last // STRIDE + 1)
+    start = rank * STRIDE
+    count = np.minimum(STRIDE, last[point] + 1 - start)
+    # each stride's sign at its first sample, and whether all samples share it
+    first, sure = _stride_signs(plans)
+    # the samples of the other strides, in one sign pass; signs[at] opens each
     unsure = np.flatnonzero(~sure)
     owner, count = point[unsure], count[unsure]
     at = np.cumsum(count) - count
@@ -305,7 +290,7 @@ def _brackets(plans, rows):
         signs &= np.repeat(moving[owner], count)
     final = first.copy()
     first[unsure], final[unsure] = signs[at], signs[at + count - 1]
-    # inside a tested group, and between neighbouring groups of one scan
+    # inside a tested stride, and between neighbouring strides of one scan
     inner = 1 + np.flatnonzero(signs[1:] != signs[:-1])
     group = np.searchsorted(at, inner, side="right") - 1
     inner, group = inner[at[group] != inner], group[at[group] != inner]
@@ -320,50 +305,25 @@ def _brackets(plans, rows):
 
 
 def _halve(rows, lo, hi, rising):
-    """17 halvings of each bracket (lo, hi) toward the sign change of
-    sigma_positive, rising where it turns True, in HALVING_PASSES passes;
-    rows holds each bracket's _row, shaped to broadcast against a
-    column of nodes per bracket.
-
-    Each pass builds a bisection tree of 2^levels + 1 nodes per bracket,
-    each node 0.5 (left + right) of its parent's ends: exactly the
-    midpoints that one halving after another would take.  One sign pass
-    over every node of every bracket, then the halvings' decisions
-    replayed down each tree, give the sequential halvings' brackets to
-    the bit.
-    """
-    index = np.arange(lo.size)
-    for levels in HALVING_PASSES:
-        width = 1 << levels
-        nodes = np.empty((lo.size, width + 1))
-        nodes[:, 0], nodes[:, width] = lo, hi
-        step = width
-        while step > 1:
-            mid = nodes[:, step // 2::step]
-            np.add(nodes[:, :-1:step], nodes[:, step::step], out=mid)
-            mid *= 0.5
-            step //= 2
-        # keep[i][j - 1]: bracket i's halving at node j keeps its left half
-        keep = (_signs(rows, nodes[:, 1:-1]) == rising[:, None]).tolist()
-        left = []
-        for row in keep:
-            at, half = 0, width // 2
-            while half:
-                at += 0 if row[at + half - 1] else half
-                half //= 2
-            left.append(at)
-        left = np.array(left)
-        lo, hi = nodes[index, left], nodes[index, left + 1]
+    """HALVINGS halvings of each bracket (lo, hi) toward the sign change
+    of sigma_positive, rising where it turns True; rows holds each
+    bracket's _row.  Each halving is one sign pass over the midpoints of
+    all brackets, so every bracket takes the float operations of its
+    one-by-one halvings."""
+    for _ in range(HALVINGS):
+        mid = 0.5 * (lo + hi)
+        up = _signs(rows, mid) == rising
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
     return lo, hi
 
 
 def measure_batch(plans) -> list:
     """nm_measure at every planned point, as a list of NMResult: one
-    stride pass, one sign pass over the samples left, and one bisection
-    tree per HALVING_PASSES entry for all the points together, each
-    point's d and gamma given per row.  Every row takes the float
-    operations of the point measured alone, so each result is that
-    point's nm_measure to the bit."""
+    stride pass, one sign pass over the samples left, and HALVINGS
+    halving passes for all the points together, each point's d and gamma
+    given per row.  Every row takes the float operations of the point
+    measured alone, so each result is that point's nm_measure to the
+    bit."""
     if not plans:
         return []
     rows = np.array([_row(plan.params, plan.d)[1] for plan in plans]).T
@@ -371,10 +331,10 @@ def measure_batch(plans) -> list:
     ends = []
     if point.size:
         # sigma(0) = 0, so crossings alternate rising, falling, ...  Every
-        # bracket is one step wide, and 17 halvings refine all to
+        # bracket is one step wide, and HALVINGS halvings refine all to
         # dt / 2^17 at any dt and scale: 7.6e-9 / gamma at the default
         # dt = 1e-3 / gamma.  Past float spacing a halving is a no-op.
-        lo, hi = _halve(rows[:, point, None], lo, hi, rising)
+        lo, hi = _halve(rows[:, point], lo, hi, rising)
         ends = (0.5 * (lo + hi)).tolist()
     bounds = np.cumsum(np.bincount(point, minlength=len(plans))).tolist()
     return [_result(plan, ends[a:b])
@@ -412,10 +372,10 @@ def nm_measure(params: ModelParams, dt: float = DEFAULT_DT) -> NMResult:
     The grid is read STRIDE samples at a time: a stride whose first
     sample and a bound on the slope of sigma's sign form certify one
     sign takes it, and the samples of every other stride are tested one
-    by one (_brackets).  The halvings run as a bisection tree in three
-    sign passes (_halve).  Both give the plain grid scan's and the one-
-    by-one halvings' results to the bit.  This is the batch of one
-    point, measure_batch([measure_plan(params, dt)]).
+    by one (_brackets), which gives the plain grid scan's result to the
+    bit.  Each halving is one sign pass over the midpoints of all
+    brackets (_halve).  nm_measure is the batch of one point,
+    measure_batch([measure_plan(params, dt)]).
     """
     return measure_batch([measure_plan(params, dt)])[0]
 
@@ -523,6 +483,8 @@ def markovian_boundary(delta_values, v_search=None,
     dt = BOUNDARY_DT / gamma if dt is None else dt
     for name, value in (("tol_v", tol_v), ("t_max", t_max), ("dt", dt)):
         require_finite(name, value, 0, strict=True)
+    if np.asarray(delta_values).dtype == bool:
+        raise ValueError(f"deltas must be numbers, got {delta_values}")
     deltas = np.asarray(delta_values, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0 or not np.isfinite(deltas).all():
         raise ValueError(
@@ -586,6 +548,8 @@ def sign_map(axis: str, fixed_value: float, param_values,
     """
     if axis not in ("delta", "v"):
         raise ValueError(f"axis must be 'delta' or 'v', got {axis!r}")
+    if np.asarray(param_values).dtype == bool:
+        raise ValueError(f"param_values must be numbers, got {param_values}")
     param_values = np.asarray(param_values, dtype=float)
     times = time_grid(t_max, dt)[1:]
     c_pos = np.zeros((param_values.size, times.size), dtype=bool)

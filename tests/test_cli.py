@@ -1,12 +1,18 @@
 """End-to-end tests of the command-line front end."""
 
+import contextlib
+import io
 import json
+import re
 import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
 from cavityflux import cli
 from cavityflux.spectrum import EmptyRegion
@@ -217,6 +223,42 @@ def test_boundary_cli_pool_writes_the_same_bytes(tmp_path):
         assert code == 0, err
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def _boundary_in_units_of_gamma(gamma, out):
+    """cavityflux boundary at 3 detunings and --gamma gamma, in process:
+    (V_c / gamma per detuning, [(delta / gamma, kind)] of the unbracketed
+    lines, the summary line without the path)."""
+    argv = ["boundary", "--gamma", repr(gamma), "--delta-count", "3",
+            "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert cli.main(argv) == 0
+    *lines, summary = stdout.getvalue().splitlines()
+    unbracketed = []
+    for line in lines:
+        delta, kind = re.fullmatch(r"unbracketed at delta=(\S+): (\w+)",
+                                   line).groups()
+        unbracketed.append((float(delta) / gamma, kind))
+    v_c = np.genfromtxt(out, delimiter=",", names=True)["v_c"]
+    return v_c / gamma, unbracketed, summary.replace(str(out), "")
+
+
+@settings(max_examples=20, deadline=None)
+@given(log_gamma=st.floats(-12.0, 3.0))
+def test_boundary_cli_is_gamma_invariant(log_gamma, tmp_path_factory):
+    # the flags are in units of gamma: V_c / gamma within rounding of
+    # --gamma 1, and the same detunings unbracketed, of the same kind
+    out = tmp_path_factory.mktemp("boundary") / "boundary.csv"
+    v_c, unbracketed, summary = _boundary_in_units_of_gamma(
+        10.0 ** log_gamma, out)
+    v_ref, unbracketed_ref, summary_ref = _boundary_in_units_of_gamma(
+        1.0, out)
+    assert_allclose(v_c, v_ref, rtol=1e-14, atol=0)
+    assert [kind for _, kind in unbracketed] == \
+        [kind for _, kind in unbracketed_ref]
+    assert_allclose([delta for delta, _ in unbracketed],
+                    [delta for delta, _ in unbracketed_ref], rtol=1e-5)
+    assert summary == summary_ref
 
 
 def test_spectrum_cli(tmp_path):

@@ -132,6 +132,14 @@ LIBRARY = {
                                                               0.1, 1)),
     "estimate-bin-bool": ("bin_width", lambda: estimate_flux(
         PARAMS, 10, bin_width=True, master_seed=1)),
+    "boundary-deltas-bool": ("deltas", lambda: markovian_boundary(
+        [True, False], t_max=20.0)),
+    "sign_map-param_values-bool": ("param_values", lambda: sign_map(
+        "v", 1.0, [True])),
+    "params-c0-bool": ("c0_init", lambda: ModelParams(v=1.0, delta=0.0,
+                                                      c0_init=True)),
+    "params-c0-np-bool": ("c0_init", lambda: ModelParams(
+        v=1.0, delta=0.0, c0_init=np.True_)),
 }
 
 # the sweep configs that the CLI rows read, one bad field each; a key

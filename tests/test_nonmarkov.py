@@ -16,7 +16,6 @@ from cavityflux.dynamics import (ModelParams, amplitudes_analytic, flux_at,
 from cavityflux.nonmarkov import (
     BOUNDARY_DT,
     BOUNDARY_T_MAX,
-    HALVING_PASSES,
     RESOLUTION,
     STRIDE,
     BoundaryCurve,
@@ -281,13 +280,15 @@ def _record_measure(monkeypatch):
     """nm_measure with the times at which it reads sigma's sign, as
     measure(params, dt) -> (result, reads); each read is ("stride", t)
     for the stride certificate's first samples, ("scan", t) for the sign
-    test on grid samples, or ("halving", t) for a halving pass's tree
-    nodes, one row per bracket."""
+    test on grid samples, or ("halving", t) for a halving pass's
+    midpoints, one per bracket."""
     seen = []
-    signs, strides = nonmarkov._signs, nonmarkov._stride_signs
+    signs, strides, halve = (nonmarkov._signs, nonmarkov._stride_signs,
+                             nonmarkov._halve)
+    kind = "scan"
 
     def recording_signs(rows, t):
-        seen.append(("scan" if np.ndim(t) == 1 else "halving", np.array(t)))
+        seen.append((kind, np.array(t)))
         return signs(rows, t)
 
     def recording_strides(plans):
@@ -296,8 +297,17 @@ def _record_measure(monkeypatch):
              for plan in plans])))
         return strides(plans)
 
+    def recording_halve(*args):
+        nonlocal kind
+        kind = "halving"
+        try:
+            return halve(*args)
+        finally:
+            kind = "scan"
+
     monkeypatch.setattr(nonmarkov, "_signs", recording_signs)
     monkeypatch.setattr(nonmarkov, "_stride_signs", recording_strides)
+    monkeypatch.setattr(nonmarkov, "_halve", recording_halve)
 
     def measure(params, dt=1e-3):
         seen.clear()
@@ -355,45 +365,36 @@ def test_measure_scans_through_the_first_sample_past_t_star(monkeypatch,
     result, reads = measure(params)
     assert repr(result) == repr(plain_measure(params, 1e-3))
     assert_array_equal(_read(reads, "stride")[0], times[::STRIDE])
-    # no coupling: t* = 0, and the scan reads the first two samples alone
+    # no coupling: t* = 0, one stride, never sure as F(0) = 0, and the
+    # scan reads the first two samples alone
     params = ModelParams(v=0.0, delta=0.3)
     assert revival_free_after(params) == 0.0
     result, reads = measure(params)
     assert repr(result) == repr(plain_measure(params, 1e-3))
-    assert [k for k, _ in reads] == ["scan"]
-    assert_array_equal(reads[0][1], times[:2])
-
-
-def _tree(lo, hi, levels):
-    # in order, the midpoints that levels halvings of (lo, hi) can take
-    if not levels:
-        return []
-    mid = 0.5 * (lo + hi)
-    return _tree(lo, mid, levels - 1) + [mid] + _tree(mid, hi, levels - 1)
+    assert [k for k, _ in reads] == ["stride", "scan"]
+    assert_array_equal(reads[0][1], [0.0])
+    assert_array_equal(reads[1][1], times[:2])
 
 
 @pytest.mark.parametrize("dt", [1e-3, 1e-2, 5e-4, 1e-4, 1e-3 / 0.3])
 def test_measure_halves_every_bracket_one_count(dt, monkeypatch,
                                                 plain_measure):
-    # 17 halvings at every dt in HALVING_PASSES sign passes, each over the
-    # bisection trees of the brackets that the halvings before it left
+    # 17 halvings at every dt, each one sign pass over the midpoints of
+    # the brackets that the halvings before it left
     params = ModelParams(v=2.0, delta=2.0, t_max=3.0)
     result, reads = _record_measure(monkeypatch)(params, dt)
     assert repr(result) == repr(plain_measure(params, dt))
     assert len(result.revival_intervals) == 2
     passes = _read(reads, "halving")
-    assert [t.shape for t in passes] == [(4, 2 ** k - 1)
-                                         for k in HALVING_PASSES]
-    assert sum(HALVING_PASSES) == 17
+    assert len(passes) == 17
     # the brackets, one halving at a time, from the grid's one-step ones
     times = time_grid(params.t_max, dt)
     pos = sigma_positive(params, times)
     edges = np.flatnonzero(pos[1:] != pos[:-1])
     brackets = [(times[e], times[e + 1], pos[e + 1]) for e in edges]
-    for levels, nodes in zip(HALVING_PASSES, passes):
-        assert_array_equal(nodes, [_tree(lo, hi, levels)
-                                   for lo, hi, _ in brackets])
-        brackets = [_halved(params, *bracket, levels) for bracket in brackets]
+    for mids in passes:
+        assert_array_equal(mids, [0.5 * (lo + hi) for lo, hi, _ in brackets])
+        brackets = [_halved(params, *bracket, 1) for bracket in brackets]
     ends = [0.5 * (lo + hi) for lo, hi, _ in brackets]
     assert result.revival_intervals == list(zip(ends[0::2], ends[1::2]))
 
