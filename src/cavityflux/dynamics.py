@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +41,13 @@ def require_finite(name: str, value, low=None, strict: bool = False,
     """The one input rule: value, if it is a finite number >= low (> low
     when strict); otherwise a ValueError that names the field.
 
-    A bool is never a number.  A field marked integer takes only an int
-    or a NumPy integer (2.0 is not an integer).  A Python int is finite
-    however large, so it skips the float test, which would overflow past
-    2**1024 (a master seed may be that long).
+    A bool, a string or a complex is never a number.  A field marked
+    integer takes only an int or a NumPy integer (2.0 is not one).  A
+    Python int is finite however large, so it skips the float test,
+    which would overflow past 2**1024 (a master seed may be that long).
     """
-    if isinstance(value, (bool, np.bool_)) or (
-            integer and not isinstance(value, (int, np.integer))):
+    if isinstance(value, bool) or not isinstance(
+            value, (int, np.integer) if integer else numbers.Real):
         kind = "an integer" if integer else "a number"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
     if ((isinstance(value, int) or math.isfinite(value))
@@ -109,12 +110,11 @@ class ModelParams:
         require_finite("v", self.v, 0)
         require_finite("delta", self.delta)
         require_finite("t_max", self.t_max, 0, strict=True)
-        if isinstance(self.c0_init, (bool, np.bool_)):
-            raise ValueError(f"c0_init must be a number, got {self.c0_init!r}")
-        c0 = complex(self.c0_init)
-        if not (cmath.isfinite(c0) and abs(c0) <= 1.0 + 1e-12):
-            raise ValueError(f"c0_init must be finite with |c0_init| <= 1, "
-                             f"got {self.c0_init}")
+        c0 = self.c0_init
+        if (isinstance(c0, bool) or not isinstance(c0, numbers.Number)
+                or not (cmath.isfinite(c0) and abs(c0) <= 1.0 + 1e-12)):
+            raise ValueError(f"c0_init must be a finite number with "
+                             f"|c0_init| <= 1, got {c0!r}")
 
     @property
     def c0_ground(self) -> float:

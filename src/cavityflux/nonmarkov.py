@@ -49,9 +49,9 @@ BOUNDARY_T_MAX = 300.0
 BOUNDARY_DT = 1e-2
 BOUNDARY_TOL_V = 1e-3
 
-# samples of the boundary's revival scan checked before the rest of the
-# grid; revivals above threshold show up early, so most probes stop here
-SCAN_HEAD = 2048
+# samples per chunk of the boundary's revival scan: a chunk's temporaries
+# stay in cache, and a revival above threshold ends the scan early
+SCAN_CHUNK = 4096
 
 
 class UnsupportedInitialState(ValueError):
@@ -381,13 +381,13 @@ def nm_measure(params: ModelParams, dt: float = DEFAULT_DT) -> NMResult:
 
 
 def _has_revival(v, delta, gamma, t_max, times):
-    # grid-sign detector without endpoint refinement; any strictly
-    # positive sigma sample counts (infimum semantics for the boundary).
-    # The head of the grid is scanned first and the rest only without a
-    # revival there: the same any() over the same grid.
+    """Whether sigma_positive is True at any sample of times (infimum
+    semantics for the boundary), read in chunks of SCAN_CHUNK samples up
+    to the first that has one.  The test is elementwise, so this is
+    sigma_positive(params, times).any() to the bit."""
     params = ModelParams(v=v, delta=delta, gamma=gamma, t_max=t_max)
-    return bool(sigma_positive(params, times[:SCAN_HEAD]).any()
-                or sigma_positive(params, times[SCAN_HEAD:]).any())
+    return any(sigma_positive(params, times[a:a + SCAN_CHUNK]).any()
+               for a in range(0, times.size, SCAN_CHUNK))
 
 
 @dataclass(frozen=True)
@@ -467,11 +467,12 @@ def markovian_boundary(delta_values, v_search=None,
     v_search (0.05, 1.2) gamma, tol_v 1e-3 gamma, t_max 300/gamma and
     dt 0.01/gamma.  The horizon is long because near threshold the first
     revival appears arbitrarily late, and the 14/Gamma measure window
-    would overestimate V_c (by ~4% at delta=0).
+    would overestimate V_c (by ~4% at delta=0).  Each probe reads its
+    detuning's grid SCAN_CHUNK samples at a time (_has_revival).
 
     Detunings whose search window does not bracket the transition are
     reported in unbracketed, not raised.  Non-finite or out-of-range
-    inputs raise ValueError.
+    inputs, and detunings that are not numbers, raise ValueError.
     """
     require_finite("gamma", gamma, 0, strict=True)
     v_lo, v_hi = (v_search if v_search is not None
@@ -483,7 +484,7 @@ def markovian_boundary(delta_values, v_search=None,
     dt = BOUNDARY_DT / gamma if dt is None else dt
     for name, value in (("tol_v", tol_v), ("t_max", t_max), ("dt", dt)):
         require_finite(name, value, 0, strict=True)
-    if np.asarray(delta_values).dtype == bool:
+    if np.asarray(delta_values).dtype.kind not in "iuf":
         raise ValueError(f"deltas must be numbers, got {delta_values}")
     deltas = np.asarray(delta_values, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0 or not np.isfinite(deltas).all():
@@ -548,7 +549,7 @@ def sign_map(axis: str, fixed_value: float, param_values,
     """
     if axis not in ("delta", "v"):
         raise ValueError(f"axis must be 'delta' or 'v', got {axis!r}")
-    if np.asarray(param_values).dtype == bool:
+    if np.asarray(param_values).dtype.kind not in "iuf":
         raise ValueError(f"param_values must be numbers, got {param_values}")
     param_values = np.asarray(param_values, dtype=float)
     times = time_grid(t_max, dt)[1:]

@@ -384,11 +384,15 @@ def threshold_frequency(boundary: BoundaryCurve,
     column is Markovian, nothing where the whole column is already
     non-Markovian.  With v_grid given, the largest grid point strictly
     below the column limit is used (max over Markovian grid points);
-    without it the boundary curve itself is the limit.
+    without it the boundary curve itself is the limit.  A v_grid that
+    is not a finite 1-D array of numbers >= 0 raises ValueError.
     """
     v_lo, v_hi = boundary.v_search
     unbracketed = {d: kind for d, kind in boundary.unbracketed}
-    grid = None if v_grid is None else np.asarray(v_grid, dtype=float)
+    grid = None if v_grid is None else np.asarray(v_grid)
+    if grid is not None and (grid.dtype.kind not in "iuf" or grid.ndim != 1
+                             or not (np.isfinite(grid) & (grid >= 0)).all()):
+        raise ValueError(f"v_grid must be 1-D, finite and >= 0, got {v_grid}")
 
     best = None
     for delta, vc in zip(boundary.deltas, boundary.v_c):

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from cavityflux import cli
 from cavityflux.dynamics import (FluxSeries, ModelParams, require_finite,
                                  time_grid)
-from cavityflux.nonmarkov import (markovian_boundary, nm_measure,
-                                  resolve_workers, sign_map)
-from cavityflux.spectrum import classify, dft
+from cavityflux.nonmarkov import (BoundaryCurve, markovian_boundary,
+                                  nm_measure, resolve_workers, sign_map)
+from cavityflux.spectrum import classify, dft, threshold_frequency
 from cavityflux.sweep import SweepConfig, figure_datasets
 from cavityflux.trajectories import estimate_flux, sample_jump_times
 
@@ -26,6 +26,10 @@ GRID = dict(v_min=0.05, v_max=1.2, v_count=2, delta_min=0.0, delta_max=2.0,
             delta_count=2, omega_threshold=1.817)
 POINT = ["--v", "1", "--delta", "0"]
 PARAMS = ModelParams(v=1.0, delta=0.0)
+# a resonant column with V_c = 0.25
+CURVE = BoundaryCurve(deltas=np.array([0.0]), v_c=np.array([0.25]),
+                      unbracketed=[], v_search=(0.05, 1.2), tol_v=1e-3,
+                      gamma=1.0, t_max=300.0, dt=1e-2)
 
 LIBRARY = {
     "params-v": ("v", lambda: ModelParams(v=NAN, delta=0.0)),
@@ -140,6 +144,26 @@ LIBRARY = {
                                                       c0_init=True)),
     "params-c0-np-bool": ("c0_init", lambda: ModelParams(
         v=1.0, delta=0.0, c0_init=np.True_)),
+    # a string or a complex is not a number either
+    "params-v-str": ("v must be a number, got '1'", lambda: ModelParams(
+        v="1", delta=0.0)),
+    "params-delta-complex": ("delta", lambda: ModelParams(v=1.0, delta=1j)),
+    "params-c0-str": ("c0_init", lambda: ModelParams(v=1.0, delta=0.0,
+                                                     c0_init="1")),
+    "boundary-deltas-str": ("deltas", lambda: markovian_boundary(
+        ["0.5"], t_max=20.0)),
+    "boundary-deltas-complex": ("deltas", lambda: markovian_boundary(
+        [0.5 + 0j], t_max=20.0)),
+    "sign_map-param_values-str": ("param_values", lambda: sign_map(
+        "v", 0.0, ["0.5"])),
+    "sign_map-param_values-complex": ("param_values", lambda: sign_map(
+        "v", 0.0, [0.5 + 0j])),
+    # threshold_frequency's grid: finite, 1-D, numbers, none below 0
+    **{f"threshold-v_grid-{key}": ("v_grid", lambda grid=grid: (
+        threshold_frequency(CURVE, v_grid=grid)))
+       for key, grid in (("-inf", [-INF]), ("negative", [-5.0]),
+                         ("nan", [NAN, 0.1]), ("2d", [[0.1, 0.2]]),
+                         ("str", ["0.1"]), ("bool", [True, False]))},
 }
 
 # the sweep configs that the CLI rows read, one bad field each; a key
@@ -152,6 +176,7 @@ SWEEP_CONFIGS = {
     "bin_width": {**GRID, "n_traj": 10, "master_seed": 1, "bin_width": 10.0},
     "workers": {**GRID, "workers": 2.5},
     "v_count-bool": {**GRID, "v_count": True},
+    "v_min-str": {**GRID, "v_min": "0.1"},
 }
 
 # each runs in its own interpreter, since a zero or negative tolerance
@@ -345,9 +370,11 @@ def test_long_integer_passes_the_rule():
 @pytest.mark.parametrize("case", sorted(k for k in CONTRACT
                                         if not k.startswith("cli-")))
 def test_rule_refuses_bools_and_integer_floats(case):
-    # a bool is never a number; an integer field refuses 2.0 and 2.5
+    # a bool, a string or a complex is never a number; an integer field
+    # refuses 2.0 and 2.5
     field, _, _, integer, call = CONTRACT[case]
-    for value in (True, np.False_, *((2.0, 2.5) if integer else ())):
+    for value in (True, np.False_, "1", 1j,
+                  *((2.0, 2.5) if integer else ())):
         with pytest.raises(ValueError) as info:
             call(value)
         assert str(info.value).startswith(f"{field} must be"), info.value

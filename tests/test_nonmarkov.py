@@ -263,17 +263,40 @@ def _record_scans(monkeypatch):
 
 
 def test_revival_scan_covers_the_grid_once(monkeypatch):
-    scanned = _record_scans(monkeypatch)
-    # no revival: the head, then the rest, each sample exactly once
-    assert not nonmarkov._has_revival(0.2, 0.0, 1.0, BOUNDARY_T_MAX,
-                                      _boundary_grid())
-    assert scanned[0].size == nonmarkov.SCAN_HEAD
-    assert_array_equal(np.concatenate(scanned), _boundary_grid())
-    # an early revival is decided by the head alone
-    scanned.clear()
-    assert nonmarkov._has_revival(1.0, 0.0, 1.0, BOUNDARY_T_MAX,
-                                  _boundary_grid())
-    assert len(scanned) == 1
+    scanned, grid = _record_scans(monkeypatch), _boundary_grid()
+    # (V, chunks read): no revival, so every chunk; an early revival,
+    # decided by the first chunk; the first revival at sample 13637
+    for v, calls in ((0.2, None), (1.0, 1), (0.251, 4)):
+        scanned.clear()
+        assert nonmarkov._has_revival(v, 0.0, 1.0, BOUNDARY_T_MAX,
+                                      grid) == (calls is not None)
+        assert all(t.size <= nonmarkov.SCAN_CHUNK for t in scanned)
+        if calls is None:       # each sample exactly once, in order
+            assert_array_equal(np.concatenate(scanned), grid)
+        else:                   # through the revival's chunk, no further
+            assert len(scanned) == calls
+            assert_array_equal(np.concatenate(scanned),
+                               grid[:calls * nonmarkov.SCAN_CHUNK])
+
+
+@settings(max_examples=40)
+@given(log_gamma=st.floats(-6.0, 3.0), v=st.floats(0.0, 1.2),
+       delta=st.floats(0.0, 2.0), chunks=st.integers(0, 2),
+       rest=st.integers(2, nonmarkov.SCAN_CHUNK - 1))
+@example(log_gamma=0.0, v=0.0, delta=0.0, chunks=7, rest=1329)
+@example(log_gamma=0.0, v=0.251, delta=0.0, chunks=7, rest=1329)
+def test_revival_scan_is_the_plain_any(log_gamma, v, delta, chunks, rest):
+    # the chunked read is sigma_positive's any() over the whole grid, of
+    # chunks * SCAN_CHUNK + rest samples: 30001 in the examples, the
+    # boundary's grid, where V = 0.251 gamma first revives at sample 13637
+    gamma, size = 10.0 ** log_gamma, chunks * nonmarkov.SCAN_CHUNK + rest
+    dt = BOUNDARY_DT / gamma
+    grid = time_grid((size - 1) * dt, dt)
+    assert grid.size == size
+    params = ModelParams(v=v * gamma, delta=delta * gamma, gamma=gamma,
+                         t_max=grid[-1])
+    assert nonmarkov._has_revival(params.v, params.delta, gamma, grid[-1],
+                                  grid) == sigma_positive(params, grid).any()
 
 
 def _record_measure(monkeypatch):

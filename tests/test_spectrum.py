@@ -291,6 +291,8 @@ def test_threshold_frequency_with_grid():
     assert thr.omega_m == pytest.approx(0.48)
     with pytest.raises(EmptyRegion):
         threshold_frequency(curve, v_grid=[0.3, 0.5])
+    with pytest.raises(EmptyRegion):        # no grid point at all
+        threshold_frequency(curve, v_grid=[])
 
 
 def test_threshold_frequency_all_markovian_column():
