@@ -57,6 +57,15 @@ def require_finite(name: str, value, low=None, strict: bool = False,
     raise ValueError(f"{name} must be finite{bound}, got {value}")
 
 
+def require_reals(name: str, values) -> np.ndarray:
+    """values as a float array, if each element is a real number and not
+    a bool, NumPy's included; otherwise a ValueError naming the field."""
+    if any(isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real)
+           for x in np.asarray(values, dtype=object).ravel()):
+        raise ValueError(f"{name} must be numbers, got {values}")
+    return np.asarray(values, dtype=float)
+
+
 class Unresolved(ValueError):
     """The resolution rule's refusal; its args (V, delta, largest dt, dt,
     name of dt) let a caller that works in units of gamma restate it."""

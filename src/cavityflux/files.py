@@ -78,10 +78,10 @@ def mulhilo(a, b):
     and b, a uint64 array or a 64-bit integer."""
     a_lo, a_hi = a & _MASK32, a >> 32
     b_lo, b_hi = b & _MASK32, b >> 32
-    hl, lh = a_hi * b_lo, a_lo * b_hi
-    cross = (a_lo * b_lo >> 32) + (hl & _MASK32) + (lh & _MASK32)
-    hi = a_hi * b_hi + (hl >> 32) + (lh >> 32) + (cross >> 32)
-    return hi, a * b
+    # one carry chain: neither partial sum reaches 2**64
+    t = a_hi * b_lo + (a_lo * b_lo >> 32)
+    w = a_lo * b_hi + (t & _MASK32)
+    return a_hi * b_hi + (t >> 32) + (w >> 32), a * b
 
 
 def _digit_pairs(u, n_pairs):

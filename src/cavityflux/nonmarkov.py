@@ -30,7 +30,7 @@ import numpy as np
 
 from .dynamics import (DEFAULT_DT, DEFAULT_T_MAX, ModelParams,
                        amplitudes_analytic, grid_steps, require_finite,
-                       require_resolved, splitting, time_grid)
+                       require_reals, require_resolved, splitting, time_grid)
 from .files import write_csv
 
 EPS_N = 1e-10         # a measure above this counts as non-Markovian
@@ -484,9 +484,7 @@ def markovian_boundary(delta_values, v_search=None,
     dt = BOUNDARY_DT / gamma if dt is None else dt
     for name, value in (("tol_v", tol_v), ("t_max", t_max), ("dt", dt)):
         require_finite(name, value, 0, strict=True)
-    if np.asarray(delta_values).dtype.kind not in "iuf":
-        raise ValueError(f"deltas must be numbers, got {delta_values}")
-    deltas = np.asarray(delta_values, dtype=float)
+    deltas = require_reals("deltas", delta_values)
     if deltas.ndim != 1 or deltas.size == 0 or not np.isfinite(deltas).all():
         raise ValueError(
             f"deltas must be a non-empty, finite 1-D array, got {deltas}")
@@ -549,9 +547,7 @@ def sign_map(axis: str, fixed_value: float, param_values,
     """
     if axis not in ("delta", "v"):
         raise ValueError(f"axis must be 'delta' or 'v', got {axis!r}")
-    if np.asarray(param_values).dtype.kind not in "iuf":
-        raise ValueError(f"param_values must be numbers, got {param_values}")
-    param_values = np.asarray(param_values, dtype=float)
+    param_values = require_reals("param_values", param_values)
     times = time_grid(t_max, dt)[1:]
     c_pos = np.zeros((param_values.size, times.size), dtype=bool)
     b_pos = np.zeros_like(c_pos)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (DEFAULT_DT, FluxSeries, ModelParams, grid_steps,
-                       require_finite, require_resolved)
+                       require_finite, require_reals, require_resolved)
 from .files import write_csv
 from .nonmarkov import EPS_N, BoundaryCurve, nm_measure
 
@@ -389,8 +389,8 @@ def threshold_frequency(boundary: BoundaryCurve,
     """
     v_lo, v_hi = boundary.v_search
     unbracketed = {d: kind for d, kind in boundary.unbracketed}
-    grid = None if v_grid is None else np.asarray(v_grid)
-    if grid is not None and (grid.dtype.kind not in "iuf" or grid.ndim != 1
+    grid = None if v_grid is None else require_reals("v_grid", v_grid)
+    if grid is not None and (grid.ndim != 1
                              or not (np.isfinite(grid) & (grid >= 0)).all()):
         raise ValueError(f"v_grid must be 1-D, finite and >= 0, got {v_grid}")
 

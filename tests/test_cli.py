@@ -261,6 +261,54 @@ def test_boundary_cli_is_gamma_invariant(log_gamma, tmp_path_factory):
     assert summary == summary_ref
 
 
+# columns of the dynamics and mcwf files in units of 1/gamma and of gamma
+_TIME_COLUMNS, _RATE_COLUMNS = ("t", "jump_time"), ("flux",)
+
+
+def _cli_in_units_of_gamma(gamma, out, *argv):
+    """cavityflux argv at --gamma gamma, in process: each CSV of the
+    output directory as {column: values in units of gamma}, and standard
+    output without the path."""
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert cli.main([*argv, "--gamma", repr(gamma), "--out",
+                         str(out)]) == 0
+    tables = {}
+    for path in sorted(out.glob("*.csv")):
+        data = np.genfromtxt(path, delimiter=",", names=True)
+        tables[path.name] = {
+            name: data[name] * (gamma if name in _TIME_COLUMNS else
+                                1.0 / gamma if name in _RATE_COLUMNS else 1.0)
+            for name in data.dtype.names}
+    return tables, stdout.getvalue().replace(str(out), "")
+
+
+@settings(max_examples=6, deadline=None)
+@given(log_gamma=st.floats(-6.0, 6.0))
+@pytest.mark.parametrize("argv", [
+    ["dynamics", "--v", "1", "--delta", "0.5", "--t-max", "4"],
+    ["mcwf", "--v", "1", "--delta", "0.5", "--n-traj", "2000", "--seed", "3"],
+], ids=["dynamics", "mcwf"])
+def test_dynamics_and_mcwf_cli_are_gamma_invariant(argv, log_gamma,
+                                                   tmp_path_factory):
+    # the flags are in units of gamma: every column within rounding of
+    # --gamma 1, the same NaN pattern of the jump times, the same lines
+    gamma = 10.0 ** log_gamma
+    tables, stdout = _cli_in_units_of_gamma(
+        gamma, tmp_path_factory.mktemp(argv[0]), *argv)
+    tables_ref, stdout_ref = _cli_in_units_of_gamma(
+        1.0, tmp_path_factory.mktemp(argv[0]), *argv)
+    assert tables.keys() == tables_ref.keys()
+    for name, columns in tables_ref.items():
+        for column, ref in columns.items():
+            assert_allclose(tables[name][column], ref, rtol=1e-12,
+                            atol=1e-12 * np.nanmax(np.abs(ref)),
+                            err_msg=f"{name}:{column}")
+    # the residuals' rms is a rate; the jump count is not
+    assert stdout.split(";")[0] == stdout_ref.split(";")[0]
+    if argv[0] == "dynamics":
+        assert stdout == stdout_ref
+
+
 def test_spectrum_cli(tmp_path):
     out = tmp_path / "spec.csv"
     code, stdout, _ = run_cli("spectrum", "--v", "2", "--delta", "2",

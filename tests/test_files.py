@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cavityflux.files import _CSV_BLOCK_ROWS, write_csv, write_json
+from cavityflux.files import _CSV_BLOCK_ROWS, mulhilo, write_csv, write_json
 
 
 def test_csv_matches_row_by_row_reference(tmp_path, csv_reference):
@@ -128,6 +128,26 @@ def test_csv_without_rows_writes_its_header(tmp_path):
 def test_csv_rejects_columns_of_different_length(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "out.csv", "a,b", [1.0, 2.0], [1.0])
+
+
+_WORD = st.one_of(st.integers(0, 2 ** 64 - 1),
+                  st.sampled_from([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63,
+                                   2 ** 64 - 1]))
+
+
+@given(st.lists(st.tuples(_WORD, _WORD), min_size=1, max_size=40),
+       _WORD)
+@example([(a, b) for a in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1)
+          for b in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1)],
+         2 ** 64 - 1)
+def test_mulhilo_matches_python_integers(pairs, word):
+    # the 128-bit product's two words, with b an array and an integer
+    a, b = (np.array(w, dtype=np.uint64) for w in zip(*pairs))
+    for b_arg, b_ints in ((b, b.tolist()), (word, [word] * len(pairs))):
+        hi, lo = mulhilo(a, b_arg)
+        products = [x * y for x, y in zip(a.tolist(), b_ints)]
+        assert hi.tolist() == [p >> 64 for p in products]
+        assert lo.tolist() == [p & (2 ** 64 - 1) for p in products]
 
 
 def test_json_format(tmp_path):

@@ -140,6 +140,14 @@ LIBRARY = {
         [True, False], t_max=20.0)),
     "sign_map-param_values-bool": ("param_values", lambda: sign_map(
         "v", 1.0, [True])),
+    # nor inside a list that np.asarray reads as floats
+    "boundary-deltas-mixed-bool": ("deltas must be numbers", lambda: (
+        markovian_boundary([True, 0.5], t_max=20.0))),
+    "sign_map-param_values-mixed-bool": ("param_values must be numbers",
+                                         lambda: sign_map("v", 1.0,
+                                                          [0.5, np.True_])),
+    "threshold-v_grid-mixed-bool": ("v_grid must be numbers", lambda: (
+        threshold_frequency(CURVE, v_grid=[True, 0.5]))),
     "params-c0-bool": ("c0_init", lambda: ModelParams(v=1.0, delta=0.0,
                                                       c0_init=True)),
     "params-c0-np-bool": ("c0_init", lambda: ModelParams(
