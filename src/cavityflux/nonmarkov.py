@@ -12,10 +12,10 @@ Revivals are found by the strict sign of sigma: near the boundary they
 are exponentially small in Gamma t but keep a clean floating-point
 sign, while any absolute cutoff would swallow them and bias the
 boundary.  The measure, the boundary and sign_map all take that sign
-from sigma_positive's terms, which overflow at no horizon or coupling,
-so revival intervals and sign maps run to the horizon.  The measure
-counts its scan and halvings in units of dt, so N does not change when
-every input is rescaled by gamma.
+from one row of sigma_positive's terms per point (_row), which overflow
+at no horizon or coupling, so revival intervals and sign maps run to
+the horizon.  The measure counts its scan and halvings in units of dt,
+so N does not change when every input is rescaled by gamma.
 """
 
 from __future__ import annotations
@@ -67,23 +67,21 @@ def sigma_values(params: ModelParams, t):
     return 2.0 * np.real(np.conj(c) * dc)
 
 
-def _row(params: ModelParams, d: complex, unit: float = 1.0):
-    """(d / unit, row) at the splitting d: sigma_positive's test at one
-    point as a row of five numbers, (-Re d / 2, -Im d / 4, 2 Re du,
-    2 Im du, Re du - gamma / unit) with du = d / unit.  The first four
-    are _sign_terms' factors, and _signs takes the row."""
-    du = d / unit
-    return du, (-0.5 * d.real, -0.25 * d.imag, 2.0 * du.real, 2.0 * du.imag,
-                du.real - params.gamma / unit)
-
-
-def _scaled_row(params: ModelParams, d: complex):
-    """(unit, d / unit, row): _row in units of the power of two above
-    gamma + |delta| + |d|, the sign readers' unit, in which no term of
-    their tests leaves float range at any scale."""
+def _row(params: ModelParams, d: complex):
+    """(unit, du, row) at the splitting d, in the sign readers' unit: the
+    power of two above gamma + |delta| + |d|, in which no term of their
+    tests leaves float range at any scale, and which keeps each of their
+    comparisons in the normal range.  du = d / unit, and row is
+    sigma_positive's test at one point, (-Re d / 2, -Im d / 4, 2 Re du,
+    2 Im du, Re du - gamma / unit): _sign_terms' factors, then _signs'.
+    At V = 0 or c0 = 0 the row is zeros, whose test 0 < 0 is False."""
     unit = math.ldexp(1.0, math.frexp(params.gamma + abs(params.delta)
                                       + abs(d))[1])
-    return (unit, *_row(params, d, unit))
+    du = d / unit
+    if params.v == 0 or complex(params.c0_init) == 0:
+        return unit, du, (0.0,) * 5
+    return unit, du, (-0.5 * d.real, -0.25 * d.imag, 2.0 * du.real,
+                      2.0 * du.imag, du.real - params.gamma / unit)
 
 
 def _sign_terms(factors, t):
@@ -123,11 +121,10 @@ def sigma_positive(params: ModelParams, t):
     which divides by nothing.  At d = 0, F = 0 and sigma is its limit
     -2 V^2 |c0|^2 t e^{-gamma t/2} (1 + gamma t/4) <= 0.  Re d >= 0
     keeps |u| <= 1, so nothing overflows at any horizon or coupling.
+    Without coupling (V = 0 or c0 = 0) _row's zeros read False.
     """
-    t = np.asarray(t, dtype=float)
-    if params.v == 0 or complex(params.c0_init) == 0:
-        return np.zeros(t.shape, dtype=bool)
-    return _signs(_row(params, splitting(params))[1], t)
+    return _signs(_row(params, splitting(params))[2],
+                  np.asarray(t, dtype=float))
 
 
 def revival_free_after(params: ModelParams) -> float:
@@ -213,13 +210,29 @@ def _spread(counts):
                                                     - counts, counts)
 
 
-def _stride_signs(plans):
-    """(positive, sure) per stride of STRIDE samples of each plan's scan,
-    k dt for k = 0 .. last, the plans' strides in order: F's sign test
-    (below) at the stride's first sample, and whether that sign holds at
-    every sample of the stride.  For V > 0 the test is sigma_positive;
-    at V = 0, where sigma_positive is False, the scan is one stride
-    through dt, which is never sure.
+def _plan_rows(plans):
+    """Each plan's _row and its stride certificate's factors, one column
+    per plan: the row's five numbers, L's two coefficients, 2 tau, the
+    unit and dt (see _stride_signs)."""
+    columns = []
+    for plan in plans:
+        gamma, delta = plan.params.gamma, plan.params.delta
+        unit, du, row = _row(plan.params, plan.d)
+        gu, gg = gamma / unit, (gamma + 2j * delta) / unit
+        tau = 1e-9 * (abs(du + gg) + abs(du - gg))
+        columns.append((*row, du.real * abs(gu - du.real),
+                        abs(2j * du.imag - 2.0 * gu) * abs(du) * 0.5,
+                        2.0 * tau, unit, plan.dt))
+    return np.array(columns).T
+
+
+def _stride_signs(columns, start, last):
+    """(positive, sure) per stride of STRIDE samples of a scan k dt,
+    k = 0 .. last, that starts at sample start: F's sign test (below) at
+    the stride's first sample, and whether that sign holds at every
+    sample of the stride.  columns holds the _plan_rows column of each
+    stride's plan.  The test is sigma_positive's; at V = 0 the scan is
+    one stride through dt, which is never sure.
 
     F = (gamma + Re d) + (gamma - Re d) r^2 + Re((2i Im d - 2 gamma) u),
     sigma_positive's form in u = e^{-d t/2}, r = |u|, has |F'| <= L =
@@ -230,24 +243,10 @@ def _stride_signs(plans):
     sign's computed test with it, through the stride's last sample t_e.
     F(0) = 0 and tau > 0, so the first stride is never sure, nor are
     strides near d = 0, where F is tiny.  F is taken with sigma_positive's
-    float operations, and the bound with d, gamma and g in units of the
-    power of two above gamma + |delta| + |d|, so none of its terms
-    leaves float range at any scale.  Each point's terms are scalars,
-    given to its strides row by row.
+    float operations, and the bound with d, gamma and g in _row's unit,
+    so none of its terms leaves float range at any scale.
     """
-    terms = []
-    for plan in plans:
-        gamma, delta = plan.params.gamma, plan.params.delta
-        unit, du, row = _scaled_row(plan.params, plan.d)
-        gu, gg = gamma / unit, (gamma + 2j * delta) / unit
-        tau = 1e-9 * (abs(du + gg) + abs(du - gg))
-        terms.append((*row, du.real * abs(gu - du.real),
-                      abs(2j * du.imag - 2.0 * gu) * abs(du) * 0.5,
-                      2.0 * tau, unit, plan.dt))
-    last = np.array([plan.last for plan in plans])
-    point, rank = _spread(last // STRIDE + 1)
-    *row, l_r2, l_r, slack, unit, dt = np.array(terms).T[:, point]
-    start, last = rank * STRIDE, last[point]
+    *row, l_r2, l_r, slack, unit, dt = columns
     t_s = start * dt
     a, q = _sign_terms(row[:4], t_s)
     b = row[4] * q
@@ -261,7 +260,7 @@ def _brackets(plans, rows):
     """(point, lo, hi, rising) for every sign change of sigma_positive
     between neighbouring samples lo = k dt and hi = (k + 1) dt of a
     plan's scan, sorted by point and k: rising where it turns True.
-    rows holds each plan's _row.
+    rows holds each plan's _plan_rows column.
 
     Every scan is read by stride.  Each sure stride (_stride_signs)
     takes its first sample's sign, and every sample of the other strides
@@ -272,22 +271,18 @@ def _brackets(plans, rows):
     grid scan's, read without building its grid.
     """
     last = np.array([plan.last for plan in plans])
-    dt = np.array([plan.dt for plan in plans])
     point, rank = _spread(last // STRIDE + 1)
-    start = rank * STRIDE
-    count = np.minimum(STRIDE, last[point] + 1 - start)
+    columns, start, last = rows[:, point], rank * STRIDE, last[point]
+    count = np.minimum(STRIDE, last + 1 - start)
     # each stride's sign at its first sample, and whether all samples share it
-    first, sure = _stride_signs(plans)
+    first, sure = _stride_signs(columns, start, last)
     # the samples of the other strides, in one sign pass; signs[at] opens each
     unsure = np.flatnonzero(~sure)
     owner, count = point[unsure], count[unsure]
     at = np.cumsum(count) - count
     k = np.arange(count.sum()) - np.repeat(at - start[unsure], count)
-    signs = _signs(np.repeat(rows[:, owner], count, axis=1),
-                   k * np.repeat(dt[owner], count))
-    moving = np.array([plan.params.v != 0 for plan in plans])
-    if not moving.all():        # sigma_positive is False at V = 0
-        signs &= np.repeat(moving[owner], count)
+    signs = _signs(np.repeat(columns[:5, unsure], count, axis=1),
+                   k * np.repeat(columns[-1, unsure], count))
     final = first.copy()
     first[unsure], final[unsure] = signs[at], signs[at + count - 1]
     # inside a tested stride, and between neighbouring strides of one scan
@@ -299,7 +294,7 @@ def _brackets(plans, rows):
     right = np.concatenate([k[inner], start[seam]])
     order = np.lexsort((right, at_point))
     at_point, right = at_point[order], right[order]
-    step = dt[at_point]
+    step = rows[-1, at_point]
     return (at_point, (right - 1) * step, right * step,
             np.concatenate([signs[inner], first[seam]])[order])
 
@@ -309,9 +304,10 @@ def _halve(rows, lo, hi, rising):
     of sigma_positive, rising where it turns True; rows holds each
     bracket's _row.  Each halving is one sign pass over the midpoints of
     all brackets, so every bracket takes the float operations of its
-    one-by-one halvings."""
+    one-by-one halvings.  Inside a grid step hi - lo is exact (Sterbenz),
+    so lo + (hi - lo) / 2 is (lo + hi) / 2, which it keeps from overflow."""
     for _ in range(HALVINGS):
-        mid = 0.5 * (lo + hi)
+        mid = lo + 0.5 * (hi - lo)
         up = _signs(rows, mid) == rising
         lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
     return lo, hi
@@ -326,7 +322,7 @@ def measure_batch(plans) -> list:
     bit."""
     if not plans:
         return []
-    rows = np.array([_row(plan.params, plan.d)[1] for plan in plans]).T
+    rows = _plan_rows(plans)
     point, lo, hi, rising = _brackets(plans, rows)
     ends = []
     if point.size:
@@ -334,8 +330,8 @@ def measure_batch(plans) -> list:
         # bracket is one step wide, and HALVINGS halvings refine all to
         # dt / 2^17 at any dt and scale: 7.6e-9 / gamma at the default
         # dt = 1e-3 / gamma.  Past float spacing a halving is a no-op.
-        lo, hi = _halve(rows[:, point], lo, hi, rising)
-        ends = (0.5 * (lo + hi)).tolist()
+        lo, hi = _halve(rows[:5, point], lo, hi, rising)
+        ends = (lo + 0.5 * (hi - lo)).tolist()
     bounds = np.cumsum(np.bincount(point, minlength=len(plans))).tolist()
     return [_result(plan, ends[a:b])
             for plan, a, b in zip(plans, [0] + bounds, bounds)]
@@ -383,10 +379,13 @@ def nm_measure(params: ModelParams, dt: float = DEFAULT_DT) -> NMResult:
 def _has_revival(v, delta, gamma, t_max, times):
     """Whether sigma_positive is True at any sample of times (infimum
     semantics for the boundary), read in chunks of SCAN_CHUNK samples up
-    to the first that has one.  The test is elementwise, so this is
-    sigma_positive(params, times).any() to the bit."""
+    to the first that has one, from one _row.  The test is elementwise,
+    so this is sigma_positive(params, times).any() to the bit."""
+    if v == 0:
+        return False        # no coupling: no revival, and no scan
     params = ModelParams(v=v, delta=delta, gamma=gamma, t_max=t_max)
-    return any(sigma_positive(params, times[a:a + SCAN_CHUNK]).any()
+    row = _row(params, splitting(params))[2]
+    return any(_signs(row, times[a:a + SCAN_CHUNK]).any()
                for a in range(0, times.size, SCAN_CHUNK))
 
 
@@ -540,8 +539,8 @@ def sign_map(axis: str, fixed_value: float, param_values,
         dR/dt > 0  <=>  2 Re(conj(d) s) > (Re d + gamma) |s|^2.
 
     Both are taken with d and gamma in units of the power of two above
-    gamma + |delta| + |d| (_scaled_row), so neither side underflows at a
-    small scale.  Where |s|^2 would, |d| <= 1e-150 (gamma + |delta|),
+    gamma + |delta| + |d| (_row), so neither side underflows at a small
+    scale.  Where |s|^2 would, |d| <= 1e-150 (gamma + |delta|),
     b_pos is the d = 0 limit t (4 - gamma t) > 0.  Neither map carries
     the decaying envelope, so both run to any horizon.
     """
@@ -554,9 +553,7 @@ def sign_map(axis: str, fixed_value: float, param_values,
     for i, p in enumerate(param_values):
         v, delta = (fixed_value, p) if axis == "delta" else (p, fixed_value)
         params = ModelParams(v=v, delta=delta, gamma=gamma, t_max=t_max)
-        if v == 0:
-            continue        # no coupling: c stays 1 and no photon leaves
-        unit, d, row = _scaled_row(params, splitting(params))
+        unit, d, row = _row(params, splitting(params))
         a, q = _sign_terms(row[:4], times)
         g = gamma / unit
         c_pos[i] = a < row[4] * q

@@ -271,7 +271,7 @@ def _invert_survival(params, times, n2, mode2, us):
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = ta + f / (params.gamma * b2)
         inside = (lo_a <= newton) & (newton <= hi_a)
-        t_new = np.where(inside, newton, 0.5 * (lo_a + hi_a))
+        t_new = np.where(inside, newton, lo_a + 0.5 * (hi_a - lo_a))
         step = np.abs(t_new - ta)
         t[active], lo[active], hi[active] = t_new, lo_a, hi_a
         active = active[(step >= tol) & (hi_a - lo_a >= tol)]

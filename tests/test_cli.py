@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,21 @@ def test_measure_gamma_invariance():
     assert code == 0, err
     assert json.loads(out3)["n_value"] == pytest.approx(d1["n_value"],
                                                         rel=1e-12)
+
+
+def test_measure_cli_at_the_foot_of_float_range(capsys):
+    # at gamma = 1e-307 the revival endpoints lie near 1.4e308, where the
+    # halvings' (lo + hi) / 2 overflowed: N read NaN, the verdict
+    # Markovian, and the exit code 0
+    argv = ["measure", "--v", "1", "--delta", "0.3"]
+    assert cli.main(argv) == 0
+    unit = json.loads(capsys.readouterr().out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(argv + ["--gamma", "1e-307"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["is_nonmarkovian"] is True
+    assert data["n_value"] == pytest.approx(unit["n_value"], rel=1e-9)
 
 
 def test_boundary_cli(tmp_path):

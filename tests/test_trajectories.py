@@ -308,6 +308,8 @@ def test_newton_passes_do_not_depend_on_gamma(monkeypatch, scaled_point):
 @settings(max_examples=60)
 @given(point=st.tuples(st.floats(0.0, 5.0), st.floats(-5.0, 5.0)),
        log_gamma=st.floats(-10.0, 6.0), seed=st.integers(0, 2 ** 32))
+# the times near 1.4e308: a fallback midpoint (lo + hi) / 2 overflowed
+@example(point=(1.0, 0.3), log_gamma=-307.0, seed=3)
 def test_jump_times_are_gamma_invariant(point, log_gamma, seed,
                                         scaled_point):
     gamma = 10.0 ** log_gamma
