@@ -154,7 +154,8 @@ def splitting(params: ModelParams) -> complex:
     d -> -d, so the branch choice is free.  Where max(V, |g|) lies
     outside [2^-500, 2^500], V and g are scaled by a power of two before
     squaring and d scaled back, so the squares neither overflow nor lose
-    digits below the normal range; inside it d is computed unscaled.
+    digits below the normal range; inside it d is computed unscaled.  A d
+    beyond float range at gamma > 0 raises an OverflowError naming |d|/gamma.
     """
     g = params.gamma + 2j * params.delta
     size = max(params.v, abs(g))
@@ -164,7 +165,16 @@ def splitting(params: ModelParams) -> complex:
     v, g = math.ldexp(params.v, -k), complex(math.ldexp(g.real, -k),
                                              math.ldexp(g.imag, -k))
     d = cmath.sqrt(-16.0 * v ** 2 + g * g)
-    return complex(math.ldexp(d.real, k), math.ldexp(d.imag, k))
+    try:
+        return complex(math.ldexp(d.real, k), math.ldexp(d.imag, k))
+    except OverflowError:
+        if not g.real:
+            raise
+        ratio = abs(d) / g.real
+        raise OverflowError(
+            f"the splitting d is beyond float range: |d|/gamma = {ratio:.4g} "
+            f"at gamma = {params.gamma:g}; lower --gamma (gamma) below about "
+            f"{np.finfo(float).max / ratio:.4g}") from None
 
 
 def amplitudes_analytic(params: ModelParams, t):

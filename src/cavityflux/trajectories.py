@@ -12,9 +12,11 @@ sampled exactly by inverse transform: draw u uniform in (0, 1], fire at
 the unique t* with N^2(t*) = u, no jump if N^2(T) > u.  This removes
 the time-step bias of per-step Bernoulli sampling.  t* is found by
 safeguarded Newton steps inside its bracket on the survival grid; the
-derivative dN^2/dt = -gamma |b|^2 comes from the same kernel pass as
-N^2.  Started at the grid's cubic Hermite inverse, one pass usually
-reaches JUMP_TOL / gamma: 1e5 draws at (1, 0) take 1.0e5 kernel samples.
+derivative dN^2/dt = -gamma |b|^2 comes from the same survival pass,
+a closed form of N^2 and |b|^2 with no phase (one expm1, one sin/cos pair
+and one exp per time).  Started at the grid's cubic Hermite inverse, one
+pass usually reaches JUMP_TOL / gamma: 1e5 draws at (1, 0) take 1.0e5
+survival samples.
 
 Per-trajectory generators are Philox streams keyed by (master_seed,
 trajectory index), so records are reproducible regardless of execution
@@ -30,7 +32,7 @@ inversion run one block at a time, so working memory stays flat in the
 ensemble size.  A block's draws are inverted in sorted order and the
 times scattered back to their indices: each draw's iteration is
 elementwise, so the order changes no bit, while sorted keys make the
-bracket search and the kernel passes faster.
+bracket search and the survival passes faster.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 from . import __version__
 from .dynamics import (DEFAULT_DT, FluxSeries, ModelParams,
                        amplitudes_analytic, flux_at, require_finite,
-                       time_grid)
+                       splitting, time_grid)
 from .files import mulhilo, write_csv, write_json
 
 # jump-time tolerance in units of 1/gamma: a draw's Newton iteration
@@ -167,15 +169,40 @@ def trajectory_uniforms(master_seed: int, n_traj: int,
 
 
 def _survival_and_mode(params: ModelParams, t):
-    """N^2(t) and the cavity mode's |b(t)|^2, from one kernel pass."""
-    c, b = amplitudes_analytic(params, t)
-    mode2 = np.abs(b) ** 2
-    return np.abs(c) ** 2 + mode2 + params.c0_ground ** 2, mode2
+    """N^2(t) and |b(t)|^2 without the amplitudes' phases.
+
+    amplitudes_analytic's c = c0 E (1 + kappa (u - 1)), kappa =
+    (1 - g/d)/2, and b = 2i V c0 e^{i delta t} E (u - 1)/d need only
+    |E|^2 = e^{(Re d - gamma) t/2} and u - 1 = x + iy: with a = -Re(d) t/2
+    and h = Im(d) t/4, x = expm1(a) - 2 e^a sin^2 h (no cancellation: both
+    terms are <= 0) and y = -2 e^a sin h cos h.  kappa (u - 1) and
+    |2V/d| (x, y) are formed before squaring, so nothing overflows as
+    d -> 0; d = 0 itself takes the limit of the kernel's form.
+    """
+    gamma, d = params.gamma, splitting(params)
+    c02 = abs(complex(params.c0_init)) ** 2
+    if d == 0:
+        decay = c02 * np.exp(-0.5 * gamma * t)
+        atom2 = decay * (1.0 + 0.25 * gamma * t) ** 2
+        mode2 = decay * (params.v * t) ** 2
+    else:
+        em, h = np.expm1(-0.5 * d.real * t), 0.25 * d.imag * t
+        sin = np.sin(h)
+        z = (1.0 + em) * sin
+        x, y = em - 2.0 * z * sin, -2.0 * z * np.cos(h)
+        kappa = 0.5 * (1.0 - (gamma + 2j * params.delta) / d)
+        r = abs(2.0 * params.v / d)
+        scale = c02 * np.exp(0.5 * (d.real - gamma) * t)
+        mode2 = scale * ((r * x) ** 2 + (r * y) ** 2)
+        atom2 = scale * ((1.0 + kappa.real * x - kappa.imag * y) ** 2
+                         + (kappa.real * y + kappa.imag * x) ** 2)
+    return atom2 + mode2 + params.c0_ground ** 2, mode2
 
 
 def survival_at(params: ModelParams, t):
     """Squared norm N^2(t) of the unnormalised no-jump state."""
-    return _survival_and_mode(params, t)[0]
+    c, b = amplitudes_analytic(params, t)
+    return np.abs(c) ** 2 + np.abs(b) ** 2 + params.c0_ground ** 2
 
 
 @dataclass(frozen=True)
@@ -216,22 +243,37 @@ class JumpRecord:
         write_json(path, self.manifest(bin_width))
 
 
-def _invert_survival(params, times, n2, mode2, us):
+def _survival_grid(params: ModelParams, times):
+    """The survival grid, from one survival pass: (times, the monotone
+    N^2 on them, -N^2 (ascending, for the bracket search), steps), with
+    steps' rows per step k from times[k] to times[k + 1] its drop
+    N^2(t_k) - N^2(t_{k+1}) and the cubic Hermite inverse's slopes
+    d((t - t_k)/dt)/ds = drop / (gamma |b|^2 dt) at both ends."""
+    n2, mode2 = _survival_and_mode(params, times)
+    n2 = np.minimum.accumulate(n2)
+    drop = n2[:-1] - n2[1:]
+    with np.errstate(all="ignore"):
+        slopes = drop / (params.gamma * np.stack([mode2[:-1], mode2[1:]])
+                         * np.diff(times))
+    return times, n2, -n2, np.vstack([drop, slopes])
+
+
+def _invert_survival(params, grid, us):
     """Jump times for uniform draws us, NaN where no jump occurs.
 
-    Each firing draw u is bracketed on the precomputed monotone survival
-    grid n2 and starts at the cubic Hermite inverse in u's linear fraction s
-    of the bracket, its slopes from the grid's mode2 = |b|^2 (at s where an
-    end has b = 0, at the midpoint where n2 is flat).  Then Newton steps on
-    f = N^2 - u, safeguarded by the bracket as in ``rtsafe`` of Numerical
-    Recipes (3rd ed., sec. 9.4): one kernel pass over the still-active draws
-    gives f and its derivative f' = -gamma |b|^2.  The bracket first takes
-    the step's time as its left end where f >= 0, else as its right end, so
-    ties break toward earlier time.  A Newton step t - f/f' that is not
-    finite or leaves the bracket is replaced by the bracket midpoint.  A
-    draw stops once its step or its bracket is below JUMP_TOL / gamma, so
-    the passes do not depend on the scale; as the start is typically within
-    1e-12 / gamma, one pass usually suffices.
+    Each firing draw u is bracketed on the grid from _survival_grid and
+    starts at the cubic Hermite inverse in u's linear fraction s of the
+    bracket, with the grid's slopes (at s where an end has b = 0, at the
+    midpoint where N^2 is flat).  Then Newton steps on f = N^2 - u,
+    safeguarded by the bracket as in ``rtsafe`` of Numerical Recipes (3rd
+    ed., sec. 9.4): one survival pass over the still-active draws gives f
+    and f' = -gamma |b|^2.  The bracket first takes the step's time as its
+    left end where f >= 0, else as its right end, so ties break toward
+    earlier time.  A Newton step t - f/f' that is not finite or leaves the
+    bracket is replaced by the bracket midpoint.  A draw stops once its
+    step or its bracket is below JUMP_TOL / gamma, so the passes do not
+    depend on the scale; as the start is typically within 1e-12 / gamma,
+    one pass usually suffices.
     The firing draws are inverted in ascending order and each time is
     written back at its draw's index; every step above is elementwise, so
     the result does not depend on the order of us, bit for bit.
@@ -240,6 +282,7 @@ def _invert_survival(params, times, n2, mode2, us):
     jump_times = np.full(us.shape, np.nan)
     if params.v == 0 or params.gamma == 0 or abs(complex(params.c0_init)) == 0:
         return jump_times          # zero flux: no trajectory ever jumps
+    times, n2, descent, steps = grid
     if n2[-1] >= 1.0:
         return jump_times
     firing = np.flatnonzero(us >= n2[-1])
@@ -248,14 +291,13 @@ def _invert_survival(params, times, n2, mode2, us):
     firing = firing[np.argsort(us[firing])]
     u = us[firing]
 
-    idx = np.clip(np.searchsorted(-n2, -u, side="right"), 1, times.size - 1)
-    lo, hi = times[idx - 1], times[idx]
-    drop = n2[idx - 1] - n2[idx]
+    # the bracket is step k, from lo = times[k] to hi = times[k + 1]
+    k = np.clip(np.searchsorted(descent, -u, side="right"), 1,
+                times.size - 1) - 1
+    lo, hi, (drop, m0, m1) = times[k], times[k + 1], steps.take(k, axis=1)
     falls = drop > 0.0
-    s = np.clip((n2[idx - 1] - u) / np.where(falls, drop, 1.0), 0.0, 1.0)
+    s = np.clip((n2[k] - u) / np.where(falls, drop, 1.0), 0.0, 1.0)
     with np.errstate(all="ignore"):
-        # the inverse's slopes d((t - lo)/(hi - lo))/ds at both ends
-        m0, m1 = drop / (params.gamma * mode2[[idx - 1, idx]] * (hi - lo))
         hermite = s * (1 - s) * ((1 - s) * m0 - s * m1) + s * s * (3 - 2 * s)
     start = np.where(np.isfinite(hermite), np.clip(hermite, 0.0, 1.0), s)
     t = lo + (hi - lo) * np.where(falls, start, 0.5)
@@ -296,14 +338,12 @@ def sample_jump_times(params: ModelParams, n_traj: int, master_seed: int,
     if require_finite("master_seed", master_seed, integer=True) < 0:
         raise ValueError(
             f"master_seed must be a non-negative integer, got {master_seed}")
-    times = time_grid(params.t_max, dt)
-    n2, mode2 = _survival_and_mode(params, times)
-    n2 = np.minimum.accumulate(n2)
+    grid = _survival_grid(params, time_grid(params.t_max, dt))
     jump_times = np.empty(n_traj)
     for start in range(0, n_traj, JUMP_BLOCK):
         stop = min(start + JUMP_BLOCK, n_traj)
         us = trajectory_uniforms(master_seed, stop - start, start)
-        jump_times[start:stop] = _invert_survival(params, times, n2, mode2, us)
+        jump_times[start:stop] = _invert_survival(params, grid, us)
     return JumpRecord(jump_times=jump_times, params=params,
                       master_seed=int(master_seed), n_traj=int(n_traj))
 

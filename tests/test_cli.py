@@ -218,6 +218,16 @@ def test_measure_cli_at_the_foot_of_float_range(capsys):
     assert data["n_value"] == pytest.approx(unit["n_value"], rel=1e-9)
 
 
+def test_measure_cli_names_a_splitting_beyond_float_range(capsys):
+    # a numerical failure, exit 1, with a message that says what to lower
+    argv = ["measure", "--v", "1", "--delta", "0.3", "--gamma", "5e307"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "|d|/gamma = 3.925" in err
+    assert "lower --gamma (gamma) below about 4.58e+307" in err
+    assert "math range error" not in err
+
+
 def test_boundary_cli(tmp_path):
     out = tmp_path / "boundary.csv"
     code, stdout, _ = run_cli("boundary", "--delta-min", "0",

@@ -59,6 +59,19 @@ def test_splitting_examples():
     assert splitting(ModelParams(v=0.25, delta=0.0)) == 0.0
 
 
+def test_splitting_beyond_float_range_names_its_ratio():
+    # |d| = 3.925 gamma passes float max at gamma = 5e307; ldexp's bare
+    # "math range error" named neither d nor what to lower
+    gamma = 5e307
+    with pytest.raises(OverflowError,
+                       match=r"\|d\|/gamma = 3\.925 .*lower --gamma \(gamma\)"
+                             r" below about 4\.58e\+307"):
+        splitting(ModelParams(v=gamma, delta=0.3 * gamma, gamma=gamma))
+    gamma = 4.5e307
+    d = splitting(ModelParams(v=gamma, delta=0.3 * gamma, gamma=gamma))
+    assert abs(d) / gamma == pytest.approx(3.925, abs=5e-4)
+
+
 def test_branch_invariance():
     # the amplitudes must not depend on the square-root branch of d
     rng = np.random.default_rng(7)

@@ -13,8 +13,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import cavityflux
 from cavityflux import trajectories
-from cavityflux.dynamics import (DEFAULT_DT, ModelParams, flux_at,
-                                 photon_flux_analytic, time_grid)
+from cavityflux.dynamics import (DEFAULT_DT, ModelParams, amplitudes_analytic,
+                                 flux_at, photon_flux_analytic, time_grid)
 from cavityflux.files import _CSV_BLOCK_ROWS
 from cavityflux.nonmarkov import nm_measure
 from cavityflux.trajectories import (
@@ -28,6 +28,7 @@ from cavityflux.trajectories import (
     _philox4x64,
     _philox_keys,
     _survival_and_mode,
+    _survival_grid,
     analytic_flux_at_bins,
     estimate_flux,
     flux_residual_stats,
@@ -40,11 +41,6 @@ from cavityflux.trajectories import (
 STRONG = ModelParams(v=1.0, delta=0.0)
 
 
-def _grid_terms(params, times):
-    """The monotone survival grid and |b|^2 on it, from one kernel pass,
-    as sample_jump_times builds them."""
-    n2, mode2 = _survival_and_mode(params, times)
-    return np.minimum.accumulate(n2), mode2
 
 
 def test_survival_matches_amplitudes():
@@ -53,6 +49,36 @@ def test_survival_matches_amplitudes():
     assert n2[0] == pytest.approx(1.0)
     assert np.all(n2 > 0.0)
     assert np.all(n2 <= 1.0 + 1e-12)
+
+
+@settings(max_examples=100)
+@given(point=st.tuples(st.floats(0.0, 5.0), st.floats(-5.0, 5.0)),
+       log_gamma=st.floats(-300.0, 300.0),
+       c0=st.sampled_from([1.0, 0.6 + 0.3j, 0.0]))
+@example(point=(0.25, 0.0), log_gamma=0.0, c0=1.0)         # d = 0
+@example(point=(0.25, 1e-310), log_gamma=0.0, c0=1.0)      # d -> 0
+@example(point=(0.25, 5e-324), log_gamma=0.0, c0=0.6 + 0.3j)
+@example(point=(0.0, 0.3), log_gamma=0.0, c0=0.6 + 0.3j)   # V = 0
+@example(point=(1.0, 0.3), log_gamma=-307.0, c0=1.0)
+@example(point=(1.0, 0.3), log_gamma=307.0, c0=0.6 + 0.3j)
+def test_survival_form_matches_the_kernel(point, log_gamma, c0):
+    # the sampler's phase-free N^2 and |b|^2 against the amplitude
+    # kernel's |c|^2 + |b|^2 + c0_ground^2 and |b|^2 over the horizon,
+    # at every scale and on the d -> 0 strip, where squaring 2V/d before
+    # its product with u - 1 overflowed
+    gamma = 10.0 ** log_gamma
+    v, delta = point
+    params = ModelParams(v=v * gamma, delta=delta * gamma, gamma=gamma,
+                         c0_init=c0, t_max=14.0 / gamma)
+    t = np.linspace(0.0, params.t_max, 1401)
+    n2, mode2 = _survival_and_mode(params, t)
+    c, b = amplitudes_analytic(params, t)
+    ref_mode2 = np.abs(b) ** 2
+    ref_n2 = np.abs(c) ** 2 + ref_mode2 + params.c0_ground ** 2
+    assert np.isfinite(n2).all() and np.isfinite(mode2).all()
+    tol = 1e-14 * ref_n2[0]
+    assert np.max(np.abs(n2 - ref_n2)) <= tol
+    assert np.max(np.abs(mode2 - ref_mode2)) <= tol
 
 
 def test_trajectory_seed_streams():
@@ -127,10 +153,10 @@ def test_philox_block_at_full_counter_words():
 def test_record_uses_numpy_trajectory_streams():
     record = sample_jump_times(STRONG, 60, master_seed=17)
     times = np.arange(0, 14001) * 1e-3
-    n2, mode2 = _grid_terms(STRONG, times)
+    grid = _survival_grid(STRONG, times)
     us = np.array([_numpy_uniform(17, i) for i in range(60)])
     assert_array_equal(record.jump_times,
-                       _invert_survival(STRONG, times, n2, mode2, us))
+                       _invert_survival(STRONG, grid, us))
 
 
 def test_sample_input_guards():
@@ -157,10 +183,10 @@ def test_zero_coupling_never_jumps():
     # there, so a draw of u = 1 gets past the survival test
     params = ModelParams(v=1.0, delta=0.0, gamma=0.0)
     times = time_grid(params.t_max, DEFAULT_DT)
-    n2, mode2 = _grid_terms(params, times)
+    grid = _survival_grid(params, times)
+    n2 = grid[1]
     assert n2[-1] < 1.0
-    assert np.isnan(_invert_survival(params, times, n2, mode2,
-                                     np.ones(1))).all()
+    assert np.isnan(_invert_survival(params, grid, np.ones(1))).all()
 
 
 def test_numpy_integer_seed_gives_the_same_record():
@@ -182,16 +208,17 @@ def test_single_trajectory_frozen_value():
     # numpy's own draw for seed 5, inverted on the default grid
     u = 1.0 - np.random.Generator(np.random.Philox(5)).random()
     times = time_grid(14.0, DEFAULT_DT)
-    n2, mode2 = _grid_terms(STRONG, times)
-    jt = _invert_survival(STRONG, times, n2, mode2, np.array([u]))[0]
+    grid = _survival_grid(STRONG, times)
+    jt = _invert_survival(STRONG, grid, np.array([u]))[0]
     assert jt == pytest.approx(4.4293237092792985, abs=1e-9)
 
 
 def test_jump_at_survival_tie():
     # a draw equal to N^2(T) must still fire, at the horizon itself
     times = np.arange(0, 14001) * 1e-3
-    n2, mode2 = _grid_terms(STRONG, times)
-    jt = _invert_survival(STRONG, times, n2, mode2, np.array([n2[-1]]))
+    grid = _survival_grid(STRONG, times)
+    n2 = grid[1]
+    jt = _invert_survival(STRONG, grid, np.array([n2[-1]]))
     assert not np.isnan(jt[0])
     assert jt[0] == pytest.approx(14.0, abs=1e-5)
 
@@ -202,9 +229,10 @@ def test_jump_at_survival_tie():
 def test_newton_matches_bisection(v, delta, bisection_reference):
     params = ModelParams(v=v, delta=delta)
     times = time_grid(params.t_max, DEFAULT_DT)
-    n2, mode2 = _grid_terms(params, times)
+    grid = _survival_grid(params, times)
+    n2 = grid[1]
     us = trajectory_uniforms(11, 20000)
-    jt = _invert_survival(params, times, n2, mode2, us)
+    jt = _invert_survival(params, grid, us)
     ref = bisection_reference(params, times, n2, us, JUMP_TOL)
     assert_array_equal(np.isnan(jt), np.isnan(ref))
     fired = ~np.isnan(jt)
@@ -227,9 +255,10 @@ def test_inversion_matches_bisection_on_drawn_points(point, log_gamma,
     gamma = 10.0 ** log_gamma
     params, dt = scaled_point(*point, gamma)
     times = time_grid(params.t_max, dt)
-    n2, mode2 = _grid_terms(params, times)
+    grid = _survival_grid(params, times)
+    n2 = grid[1]
     us = trajectory_uniforms(13, 2000)
-    jt = _invert_survival(params, times, n2, mode2, us)
+    jt = _invert_survival(params, grid, us)
     tol = JUMP_TOL / gamma
     ref = bisection_reference(params, times, n2, us, tol)
     assert_array_equal(np.isnan(jt), np.isnan(ref))
@@ -243,12 +272,13 @@ def test_inversion_matches_bisection_on_drawn_points(point, log_gamma,
 def test_inversion_does_not_depend_on_draw_order(v, delta):
     params = ModelParams(v=v, delta=delta)
     times = time_grid(params.t_max, DEFAULT_DT)
-    n2, mode2 = _grid_terms(params, times)
+    grid = _survival_grid(params, times)
+    n2 = grid[1]
     # ties, a draw of 1 (a jump at t = 0) and a draw that never fires
     us = trajectory_uniforms(9, 3000)
     us = np.concatenate([us, us[:3], [1.0, 1.0, 0.5 * n2[-1]]])
     perm = np.random.default_rng(1).permutation(us.size)
-    invert = lambda draws: _invert_survival(params, times, n2, mode2, draws)
+    invert = lambda draws: _invert_survival(params, grid, draws)
     assert_array_equal(invert(us[perm]), invert(us)[perm])
 
 
@@ -258,32 +288,32 @@ def test_record_matches_per_draw_inversion():
     params = ModelParams(v=2.0, delta=2.0)
     record = sample_jump_times(params, JUMP_BLOCK + 5, master_seed=5)
     times = time_grid(params.t_max, DEFAULT_DT)
-    n2, mode2 = _grid_terms(params, times)
+    grid = _survival_grid(params, times)
     picked = np.random.default_rng(2).choice(JUMP_BLOCK, 300, replace=False)
     indices = np.concatenate([[0, 1, JUMP_BLOCK - 1], picked,
                               np.arange(JUMP_BLOCK, JUMP_BLOCK + 5)])
-    alone = [_invert_survival(params, times, n2, mode2,
+    alone = [_invert_survival(params, grid,
                               np.array([_numpy_uniform(5, int(i))]))[0]
              for i in indices]
     assert_array_equal(record.jump_times[indices], alone)
 
-def _count_kernel_calls(monkeypatch):
-    kernel = trajectories.amplitudes_analytic
+def _count_survival_passes(monkeypatch):
+    survival = trajectories._survival_and_mode
     calls = []
 
     def counting(p, t):
         calls.append(np.size(t))
-        return kernel(p, t)
+        return survival(p, t)
 
-    monkeypatch.setattr(trajectories, "amplitudes_analytic", counting)
+    monkeypatch.setattr(trajectories, "_survival_and_mode", counting)
     return calls
 
 
 def test_newton_passes_per_block(monkeypatch):
-    # criterion 8's point: at most 2 kernel passes per block, beyond the
-    # one pass on the survival grid; the cubic Hermite start leaves most
-    # draws one Newton pass, so the samples stay near one per draw
-    calls = _count_kernel_calls(monkeypatch)
+    # criterion 8's point: at most 2 survival passes per block, beyond
+    # the one pass on the survival grid; the cubic Hermite start leaves
+    # most draws one Newton pass, so the samples stay near one per draw
+    calls = _count_survival_passes(monkeypatch)
     n = 100_000
     sample_jump_times(STRONG, n, master_seed=42)
     n_blocks = -(-n // JUMP_BLOCK)
@@ -296,7 +326,7 @@ def test_newton_passes_per_block(monkeypatch):
 def test_newton_passes_do_not_depend_on_gamma(monkeypatch, scaled_point):
     # an absolute tolerance of 1e-10 lay below the float spacing of the
     # jump times at gamma = 1e-8, and every block ran all MAX_JUMP_STEPS
-    calls = _count_kernel_calls(monkeypatch)
+    calls = _count_survival_passes(monkeypatch)
     sample_jump_times(STRONG, 100_000, master_seed=42)
     unit = len(calls)
     calls.clear()
