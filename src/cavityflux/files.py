@@ -178,13 +178,14 @@ def _column(values, name):
 
 
 def write_csv(path, header: str, *columns) -> None:
-    """Write equal-length columns under a comma-separated header line."""
+    """Write equal-length columns under a header that names each one."""
+    names = header.split(",")
+    if len(names) != len(columns):
+        raise ValueError(f"header {header!r} names {len(names)} columns, "
+                         f"got {len(columns)}")
     n_rows = len(columns[0])
     if any(len(c) != n_rows for c in columns):
         raise ValueError("columns differ in length")
-    names = header.split(",")
-    if len(names) != len(columns):
-        names = range(len(columns))
     cols = [_column(c, name) for c, name in zip(columns, names)]
     floats = [arr for _, fields, arr in cols if fields is None]
     # each field is followed by its separator's column

@@ -202,14 +202,6 @@ def measure_plan(params: ModelParams, dt: float) -> MeasurePlan:
     return MeasurePlan(params, dt, n, d, last)
 
 
-def _spread(counts):
-    """(owner, rank) of sum(counts) items in order, counts[i] of them
-    owned by i and ranked 0 .. counts[i] - 1."""
-    owner = np.repeat(np.arange(counts.size), counts)
-    return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts)
-                                                    - counts, counts)
-
-
 def _plan_rows(plans):
     """Each plan's _row and its stride certificate's factors, one column
     per plan: the row's five numbers, L's two coefficients, 2 tau, the
@@ -262,41 +254,39 @@ def _brackets(plans, rows):
     plan's scan, sorted by point and k: rising where it turns True.
     rows holds each plan's _plan_rows column.
 
-    Every scan is read by stride.  Each sure stride (_stride_signs)
-    takes its first sample's sign, and every sample of the other strides
-    goes through the sign test, all in one pass.  A crossing lies inside
-    a tested stride, or between two neighbouring strides of one scan,
-    where the first's last sign and the second's first differ; none runs
-    from one scan into the next.  So each scan's crossings are the plain
-    grid scan's, read without building its grid.
+    The scans are read as one list of entries in sample order: a sure
+    stride (_stride_signs) is one entry, its first sample with its
+    certified sign, and each sample of the other strides is one, tested
+    in one sign pass.  A sure stride's sign holds through its last
+    sample, so a change between neighbouring entries is the step into
+    the later one's sample, and one comparison finds every crossing; one
+    into a scan's sample 0 comes from the previous scan.  So each scan's
+    crossings are the plain grid scan's.
     """
     last = np.array([plan.last for plan in plans])
-    point, rank = _spread(last // STRIDE + 1)
-    columns, start, last = rows[:, point], rank * STRIDE, last[point]
-    count = np.minimum(STRIDE, last + 1 - start)
-    # each stride's sign at its first sample, and whether all samples share it
-    first, sure = _stride_signs(columns, start, last)
-    # the samples of the other strides, in one sign pass; signs[at] opens each
-    unsure = np.flatnonzero(~sure)
-    owner, count = point[unsure], count[unsure]
+    strides = last // STRIDE + 1
+    point = np.repeat(np.arange(len(plans)), strides)
+    start = STRIDE * (np.arange(point.size)
+                      - np.repeat(np.cumsum(strides) - strides, strides))
+    last = last[point]
+    first, sure = _stride_signs(np.repeat(rows, strides, axis=1), start, last)
+    # one entry per sure stride, and one per sample of every other stride
+    unsure = ~sure
+    count = np.where(sure, 1, np.minimum(STRIDE, last + 1 - start))
     at = np.cumsum(count) - count
-    k = np.arange(count.sum()) - np.repeat(at - start[unsure], count)
-    signs = _signs(np.repeat(columns[:5, unsure], count, axis=1),
-                   k * np.repeat(columns[-1, unsure], count))
-    final = first.copy()
-    first[unsure], final[unsure] = signs[at], signs[at + count - 1]
-    # inside a tested stride, and between neighbouring strides of one scan
-    inner = 1 + np.flatnonzero(signs[1:] != signs[:-1])
-    group = np.searchsorted(at, inner, side="right") - 1
-    inner, group = inner[at[group] != inner], group[at[group] != inner]
-    seam = 1 + np.flatnonzero((first[1:] != final[:-1]) & (rank[1:] > 0))
-    at_point = np.concatenate([owner[group], point[seam]])
-    right = np.concatenate([k[inner], start[seam]])
-    order = np.lexsort((right, at_point))
-    at_point, right = at_point[order], right[order]
-    step = rows[-1, at_point]
-    return (at_point, (right - 1) * step, right * step,
-            np.concatenate([signs[inner], first[seam]])[order])
+    n = count[unsure]
+    k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - start[unsure], n)
+    samples = np.bincount(point[unsure], n, len(plans)).astype(int)
+    signs = np.repeat(first, count)
+    signs[np.repeat(unsure, count)] = _signs(
+        np.repeat(rows[:5], samples, axis=1), k * np.repeat(rows[-1], samples))
+    cross = 1 + np.flatnonzero(signs[1:] != signs[:-1])
+    stride = np.searchsorted(at, cross, side="right") - 1
+    right = cross - at[stride] + start[stride]
+    keep = right > 0            # not from the previous scan
+    owner, right = point[stride[keep]], right[keep]
+    step = rows[-1, owner]
+    return owner, (right - 1) * step, right * step, signs[cross[keep]]
 
 
 def _halve(rows, lo, hi, rising):
@@ -365,13 +355,14 @@ def nm_measure(params: ModelParams, dt: float = DEFAULT_DT) -> NMResult:
     counted, and a dt with |Im d| dt >= RESOLUTION, which would miss
     whole revivals, raises ValueError.
 
-    The grid is read STRIDE samples at a time: a stride whose first
-    sample and a bound on the slope of sigma's sign form certify one
-    sign takes it, and the samples of every other stride are tested one
-    by one (_brackets), which gives the plain grid scan's result to the
-    bit.  Each halving is one sign pass over the midpoints of all
-    brackets (_halve).  nm_measure is the batch of one point,
-    measure_batch([measure_plan(params, dt)]).
+    The grid is read as one list of signs, STRIDE samples at a time: a
+    stride whose first sample and a bound on the slope of sigma's sign
+    form certify one sign is one entry, and each sample of every other
+    stride is tested and is one entry.  One comparison of neighbouring
+    entries finds every crossing (_brackets), which gives the plain grid
+    scan's result to the bit.  Each halving is one sign pass over the
+    midpoints of all brackets (_halve).  nm_measure is the batch of one
+    point, measure_batch([measure_plan(params, dt)]).
     """
     return measure_batch([measure_plan(params, dt)])[0]
 

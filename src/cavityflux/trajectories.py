@@ -356,13 +356,17 @@ def estimate_flux(params: ModelParams, n_traj: int,
 
     values[k] = count_k / (n_traj * bin_width) over bins covering
     [0, T]; a trailing partial bin is dropped with a warning.  Pass a
-    precomputed record to bin an existing ensemble.
+    precomputed record to bin an existing ensemble: its own n_traj
+    counts, and a record sampled at other params raises ValueError.
     """
     if not 0 < require_finite("bin_width", bin_width) <= params.t_max:
         raise InvalidBinning(
             f"bin_width must be in (0, t_max], got {bin_width}")
     if record is None:
         record = sample_jump_times(params, n_traj, master_seed, dt)
+    elif record.params != params:
+        raise ValueError(f"the record was sampled at {record.params}, "
+                         f"not at {params}")
     else:
         n_traj = record.n_traj
 

@@ -130,6 +130,16 @@ def test_csv_rejects_columns_of_different_length(tmp_path):
         write_csv(tmp_path / "out.csv", "a,b", [1.0, 2.0], [1.0])
 
 
+@pytest.mark.parametrize("header, columns", [("a,b,c", 1), ("a", 2)])
+def test_csv_refuses_a_header_that_does_not_name_every_column(
+        tmp_path, header, columns):
+    path = tmp_path / "out.csv"
+    message = f"names {header.count(',') + 1} columns, got {columns}"
+    with pytest.raises(ValueError, match=message):
+        write_csv(path, header, *[[1.0]] * columns)
+    assert not path.exists()
+
+
 _WORD = st.one_of(st.integers(0, 2 ** 64 - 1),
                   st.sampled_from([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63,
                                    2 ** 64 - 1]))

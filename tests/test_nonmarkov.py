@@ -561,17 +561,33 @@ def test_measure_matches_the_plain_scan(point, log_gamma, grid,
                  ((2.0, 2.0), 0.0, (1e-3, 14.0))])
 @example(points=[((1.0, 0.3), -300.0, (1e-3, 14.0)),
                  ((1.2, -1.5), 300.0, (1e-3 / 0.3, 14.0))])
+# a crossing inside a tested stride (sample 1861); one at a stride's
+# first sample after a tested stride (256 = 4 STRIDE) and after a sure
+# one (13696 = 214 STRIDE); scans that start False after a neighbour's
+# last sample reads True
+@example(points=[((1.0, 0.3), 0.0, (1e-3, 14.0))])
+@example(points=[((0.05, -4.8), 0.0, (1e-2, 3.0))])
+@example(points=[((1.3, 0.0), 0.0, (1e-3, 14.0))])
+@example(points=[((1.3, 0.0), 0.0, (1e-3, 14.0)),
+                 ((0.05, -4.0), 0.0, (1e-3, 3.0)),
+                 ((1.0, 0.3), 0.0, (1e-3, 14.0))])
 def test_batch_matches_the_plain_scan(points, plain_measure):
     # each point of a batch, whatever its neighbours, gets the plain grid
-    # scan's endpoints and N to the bit: no crossing runs across the seam
-    # between two points' scans
-    plans, plain = [], []
-    for (v, delta), log_gamma, (step, horizon) in points:
+    # scan's brackets, endpoints and N to the bit: no crossing runs
+    # across the seam between two points' scans
+    plans, plain, changes = [], [], []
+    for i, ((v, delta), log_gamma, (step, horizon)) in enumerate(points):
         gamma = 10.0 ** log_gamma
         params = ModelParams(v=v * gamma, delta=delta * gamma, gamma=gamma,
                              t_max=horizon / gamma)
         plans.append(nonmarkov.measure_plan(params, step / gamma))
         plain.append(plain_measure(params, step / gamma))
+        dt = plans[-1].dt
+        pos = sigma_positive(params, np.arange(plans[-1].last + 1) * dt)
+        changes += [(i, k * dt, (k + 1) * dt, bool(pos[k + 1]))
+                    for k in np.flatnonzero(pos[1:] != pos[:-1]).tolist()]
+    brackets = nonmarkov._brackets(plans, nonmarkov._plan_rows(plans))
+    assert list(zip(*(column.tolist() for column in brackets))) == changes
     batch = nonmarkov.measure_batch(plans)
     for result, ref in zip(batch, plain, strict=True):
         assert result.n_value == ref.n_value

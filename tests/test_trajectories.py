@@ -465,6 +465,16 @@ def test_estimate_reuses_record():
     assert reused.n_traj == 400
 
 
+def test_estimate_refuses_a_record_of_other_params():
+    # a record sampled at (1, 0) over [0, 14] binned as one at (5, 2)
+    # over [0, 7] would drop the jumps past 7 without a word
+    record = sample_jump_times(STRONG, 200, master_seed=6)
+    other = ModelParams(v=5.0, delta=2.0, t_max=7.0)
+    with pytest.raises(ValueError, match=r"sampled at ModelParams\(v=1\.0, "
+                       r"delta=0\.0.*not at ModelParams\(v=5\.0, delta=2\.0"):
+        estimate_flux(other, 999, 0.1, record=record)
+
+
 @pytest.mark.parametrize("gamma", [0.25, 10.0, 1000.0])
 def test_estimate_flux_in_units_of_gamma(gamma):
     # rates times gamma, times over gamma: the same draws land in the
