@@ -19,7 +19,7 @@ from .trajectories import (GridMismatch, InvalidBinning, JumpRecord,
                            PartialBinWarning, ResidualStats,
                            analytic_flux_at_bins, estimate_flux,
                            flux_residual_stats, sample_jump_times,
-                           survival_at, trajectory_seed)
+                           survival_at)
 
 __all__ = [
     "AmplitudeSeries", "BoundaryCurve", "EmptyRegion", "FluxSeries",
@@ -34,5 +34,5 @@ __all__ = [
     "photon_flux_analytic", "run_sweep", "sample_jump_times",
     "sigma_positive", "sigma_values", "sign_map",
     "splitting", "survival_at", "threshold_frequency", "time_grid",
-    "trajectory_seed", "__version__",
+    "__version__",
 ]

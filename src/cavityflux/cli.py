@@ -208,7 +208,8 @@ def cmd_boundary(args) -> int:
 def cmd_spectrum(args) -> int:
     params = _params(args)
     spec = analytic_spectrum(params, args.dt)
-    total = spec.total_power()
+    with np.errstate(all="ignore"):     # inf - inf is NaN, also refused
+        total = spec.total_power()
     if not total < np.inf:      # out of float range: write nothing
         raise FloatingPointError(f"spectrum's total power is {total}")
     # the line as classify reads it, free of the flux's scale, so it does

@@ -113,10 +113,10 @@ def dft(r, dt: float) -> SpectrumResult:
                           dt=float(dt))
 
 
-def _shape_dft(params: ModelParams, d: complex, n: int, dt: float):
+def _shape_dft(gamma: float, d: complex, n: int, dt: float):
     """The n-point DFT S_k of f(t) = e^{-gamma t/2} (cosh(xt) - cos(yt)) /
-    (x^2 + y^2), x + iy = w = d/2, d = splitting(params), in closed form,
-    as two functions:
+    (x^2 + y^2), x + iy = w = d/2, d the splitting at decay rate gamma,
+    in closed form, as two functions:
     bins(k), S at an array of bin numbers k in 1 .. n//2, elementwise, so
     a block of bins costs its own size; and tail(k0), an upper bound on
     |S_k| over every k0 <= k <= n//2.
@@ -135,7 +135,7 @@ def _shape_dft(params: ModelParams, d: complex, n: int, dt: float):
     nearest its pole, or at an end; tail takes each term and factor
     there, and adds 1e-9 for rounding.
     """
-    gamma, w, t_end = params.gamma, d / 2.0, n * dt
+    w, t_end = d / 2.0, n * dt
 
     def f(t):   # from expm1(u) / u, u = -w t: no digit is lost as w -> 0
         u = -w * t
@@ -192,7 +192,7 @@ def _shape_dft(params: ModelParams, d: complex, n: int, dt: float):
     return bins, tail
 
 
-def _parseval_total(params: ModelParams, d: complex, n: int, dt: float):
+def _parseval_total(gamma: float, d: complex, n: int, dt: float):
     """Sum over all n bins of |gamma^2 S_k|^2 (S of _shape_dft), or None
     where its rounding could reach 1e-13 of it.
 
@@ -203,7 +203,7 @@ def _parseval_total(params: ModelParams, d: complex, n: int, dt: float):
     (and on horizons short against 1/|w|) their terms cancel; there the
     caller sums the bins.
     """
-    gamma, w = params.gamma, d / 2.0
+    w = d / 2.0
     x, y = w.real, w.imag
 
     def geo(lam):                   # sum of e^{lam m dt}, m < n
@@ -229,17 +229,19 @@ def analytic_spectrum(params: ModelParams, dt: float = DEFAULT_DT) -> SpectrumRe
     0, and S = 0 when gamma, V or c0 is 0.  A dt that aliases the flux
     line (|Im d| dt >= NYQUIST) raises ValueError.  On a grid in units
     of 1/gamma, S grows as gamma; its factors stay in float range for
-    gamma in 1e-152 .. 1e150, and below that f's t^2 overflows to NaN,
-    which raises FloatingPointError."""
+    gamma in 1e-152 .. 1e150.  Below that f's t^2 overflows to NaN,
+    which raises FloatingPointError; above it the power overflows to
+    inf.  Neither warns."""
     n = grid_steps(params.t_max, dt) + 1
     d = require_resolved(params, dt, NYQUIST)
     gamma, c2 = params.gamma, abs(complex(params.c0_init)) ** 2
     power = np.zeros(n // 2 + 1)
     if gamma and params.v and c2:
         scale = 2.0 * c2 * (params.v / gamma) ** 2 * gamma * gamma
-        bins, _ = _shape_dft(params, d, n, dt)
-        shape = bins(np.arange(1, n // 2 + 1))
-        power[1:] = np.abs(scale * (gamma * shape)) ** 2
+        with np.errstate(all="ignore"):
+            bins, _ = _shape_dft(gamma, d, n, dt)
+            shape = bins(np.arange(1, n // 2 + 1))
+            power[1:] = np.abs(scale * (gamma * shape)) ** 2
         if np.isnan(power).any():
             raise FloatingPointError(f"spectrum is NaN at gamma={gamma:g}")
     return SpectrumResult(power=power, n_samples=n, dt=float(dt))
@@ -331,13 +333,15 @@ def _peak(p, total: float, kmax: int, bin_width: float, tail=None):
 def _analytic_peak(params: ModelParams, dt: float) -> PeakEstimate:
     """dominant_peak of analytic_spectrum, from the bins it needs.
 
-    The power is searched as |gamma^2 S_k|^2, free of the flux's scale
-    2 gamma V^2 |c0|^2, which cancels from omega_peak and the prominence:
-    so no power underflows at a small coupling, and the answer does not
-    change when every input is rescaled by gamma.  Bins are evaluated in
-    blocks, 1 .. 64 first, and the prefix doubles until the shoulder's
-    valley is found and _shape_dft's tail bound over the bins left is
-    below the best bin beyond it; the total power is _parseval_total's.
+    The power is searched as |S_k|^2 in units of gamma (gamma = 1, d /
+    gamma, dt gamma), free of the flux's scale 2 gamma V^2 |c0|^2, which
+    cancels from the prominence, and omega_peak is scaled back by gamma:
+    so no power underflows at a small coupling or leaves float range at
+    any gamma > 0, and the answer does not change when every input is
+    rescaled by gamma.  Bins are evaluated in blocks, 1 .. 64 first, and
+    the prefix doubles until the shoulder's valley is found and
+    _shape_dft's tail bound over the bins left is below the best bin
+    beyond it; the total power is _parseval_total's.
     Where either fails, every bin is evaluated and dominant_peak runs on
     them.  A zero flux (gamma, V or c0 is 0) raises NoSignal.  splitting
     runs once per call.
@@ -347,22 +351,23 @@ def _analytic_peak(params: ModelParams, dt: float) -> PeakEstimate:
     gamma, kmax = params.gamma, n // 2
     if not (gamma and params.v and complex(params.c0_init)):
         raise NoSignal("the flux is zero throughout")
-    bins, tail = _shape_dft(params, d, n, dt)
-    total = _parseval_total(params, d, n, dt)
-    power, top = np.zeros(1), 0         # S_0 = 0: the flux is detrended
-    while top < kmax:
+    d, dt = d / gamma, dt * gamma
+    bins, tail = _shape_dft(1.0, d, n, dt)
+    total = _parseval_total(1.0, d, n, dt)
+    power, top, peak = np.zeros(1), 0, None   # S_0 = 0: detrended flux
+    while peak is None and top < kmax:
         top = kmax if total is None else min(max(2 * top, 64), kmax)
         shape = bins(np.arange(power.size, top + 1))
-        power = np.concatenate([power, np.abs(gamma * (gamma * shape)) ** 2])
+        power = np.concatenate([power, np.abs(shape) ** 2])
         if np.isnan(power).any():
             raise FloatingPointError(f"spectrum is NaN at gamma={gamma:g}")
         if top < kmax:
             peak = _peak(power, total, kmax, 2.0 * np.pi / (n * dt),
-                         lambda k0: abs(gamma * (gamma * tail(k0))) ** 2)
-            if peak is not None:
-                return peak
-    return dominant_peak(SpectrumResult(power=power, n_samples=n,
-                                        dt=float(dt)))
+                         lambda k0: tail(k0) ** 2)
+    if peak is None:
+        peak = dominant_peak(SpectrumResult(power=power, n_samples=n,
+                                            dt=float(dt)))
+    return dataclasses.replace(peak, omega_peak=peak.omega_peak * gamma)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,11 @@ Each (delta, V) cell gets the non-Markovianity measure, the coherent
 frequency Omega, and the spectral verdict (ground-truth refined).  A
 delta column is one work item: its cells read their peaks one by one
 and take their measures from one batch, which gives each cell's
-stand-alone nm_measure to the bit.  Assembly follows cell order, so
-results are identical regardless of worker count.  Manifests carry all inputs
+stand-alone nm_measure to the bit.  A sampled cell k (delta-major)
+seeds its ensemble with word 0 of philox_keys(master_seed, k), numpy's
+SeedSequence(master_seed, spawn_key=(k,)) word; a column takes its
+cells' words from one call.  Assembly follows cell order, so results
+are identical regardless of worker count.  Manifests carry all inputs
 and versions but no timestamps, keeping reruns byte-identical.
 """
 
@@ -26,7 +29,7 @@ from .nonmarkov import (EPS_N, markovian_boundary, measure_batch,
 from .nonmarkov import nm_measure  # noqa: F401  (perfbench rebinds it here)
 from .spectrum import (DEFAULT_MIN_PROMINENCE, analytic_spectrum, classify,
                        coherent_frequency, threshold_frequency)
-from .trajectories import DEFAULT_BIN_WIDTH, estimate_flux, trajectory_seed
+from .trajectories import DEFAULT_BIN_WIDTH, estimate_flux, philox_keys
 
 FIGURE_IDS = (1, 2, 3, 4)
 
@@ -99,17 +102,15 @@ class SweepConfig:
         return np.linspace(self.delta_min, self.delta_max, self.delta_count)
 
 
-def _cell_seed(master_seed: int, cell_index: int) -> int:
-    return int(trajectory_seed(master_seed, cell_index)
-               .generate_state(1, np.uint64)[0])
-
-
 def _sweep_column(task) -> list:
     """The cells of one delta column, in V order: each cell's spectral
     verdict from classify, refined by its N from one measure batch over
     the column.  A cell whose verdict or measure plan raises records the
     error and is left out of the batch."""
     config, first_index, delta, vs, omega_threshold = task
+    if config.n_traj > 0:
+        seeds = philox_keys(config.master_seed, np.arange(
+            first_index, first_index + len(vs), dtype=np.uint32))[0]
     cells, measured = [], []
     for i, v in enumerate(vs):
         cell = {"delta": delta, "v": v, "n_value": float("nan"),
@@ -120,10 +121,9 @@ def _sweep_column(task) -> list:
                                  t_max=config.t_max)
             flux = None             # None = analytic flux, inside classify
             if config.n_traj > 0:
-                flux = estimate_flux(
-                    params, config.n_traj, config.bin_width,
-                    _cell_seed(config.master_seed, first_index + i),
-                    config.dt)
+                flux = estimate_flux(params, config.n_traj,
+                                     config.bin_width, int(seeds[i]),
+                                     config.dt)
             verdict = classify(params, omega_threshold,
                                min_prominence=config.min_prominence,
                                flux=flux, dt=config.dt)
@@ -217,45 +217,6 @@ def run_sweep(config: SweepConfig, out_dir=None) -> RegionMap:
     return region_map
 
 
-_PLOT_STUB = '''\
-"""Plot the exported figure datasets (requires matplotlib + pandas)."""
-import sys
-from pathlib import Path
-
-import matplotlib.pyplot as plt
-import pandas as pd
-
-here = Path(sys.argv[1] if len(sys.argv) > 1 else ".")
-
-for csv in sorted(here.glob("population_*.csv")) + sorted(here.glob("flux_*.csv")):
-    frame = pd.read_csv(csv)
-    plt.plot(frame.iloc[:, 0], frame.iloc[:, 1], label=csv.stem)
-if plt.gca().lines:
-    plt.xlabel("t"); plt.legend(fontsize=6); plt.show()
-
-for csv in sorted(here.glob("sign_map_*.csv")):
-    frame = pd.read_csv(csv)
-    axis = frame.columns[1]
-    for col, marker in (("c_pos", "."), ("b_pos", "x")):
-        sub = frame[frame[col] == 1]
-        plt.scatter(sub["t"], sub[axis], s=2, marker=marker, label=col)
-    plt.xlabel("t"); plt.ylabel(axis); plt.title(csv.stem)
-    plt.legend(); plt.show()
-
-boundary = here / "boundary.csv"
-if boundary.exists():
-    frame = pd.read_csv(boundary)
-    plt.plot(frame["delta"], frame["v_c"], "k-")
-    plt.xlabel("delta"); plt.ylabel("v_c"); plt.show()
-
-for csv in sorted(here.glob("spectrum_*.csv")):
-    frame = pd.read_csv(csv)
-    plt.plot(frame["omega"], frame["power"], label=csv.stem)
-if plt.gca().lines:
-    plt.xlabel("omega"); plt.ylabel("power"); plt.legend(fontsize=6); plt.show()
-'''
-
-
 def figure_datasets(figure_id: int, out_dir) -> list:
     """Emit the CSV datasets behind one of the four reference figures.
 
@@ -326,7 +287,4 @@ def figure_datasets(figure_id: int, out_dir) -> list:
         ppath = out / "peaks.json"
         write_json(ppath, peaks)
         paths.append(ppath)
-
-    stub = out / "plot_figures.py"
-    stub.write_text(_PLOT_STUB)
-    return paths + [stub]
+    return paths

@@ -111,7 +111,7 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-def _philox_keys(master_seed: int, indices: np.ndarray):
+def philox_keys(master_seed: int, indices: np.ndarray):
     """Philox keys of ``trajectory_seed(master_seed, i)`` for uint32 indices.
 
     Returns the two uint64 key words that
@@ -163,7 +163,7 @@ def trajectory_uniforms(master_seed: int, n_traj: int,
     ``random()`` maps output word 0 to (x >> 11) * 2**-53.
     """
     indices = np.arange(start, start + n_traj, dtype=np.uint32)
-    key = _philox_keys(master_seed, indices)
+    key = philox_keys(master_seed, indices)
     x = _philox4x64((1, 0, 0, 0), key)[0]
     return 1.0 - (x >> 11) * 2.0 ** -53
 

@@ -465,14 +465,16 @@ def test_numerical_failure_exits_1(exc_type, patched, argv, monkeypatch,
     assert err == "error: no usable result\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("gamma", ["1e-155", "1e152"])
 def test_spectrum_out_of_float_range_exits_1(gamma, tmp_path, capsys):
     # the flux power grows as gamma^2 and leaves float range beyond
-    # gamma = 1e-152 .. 1e150: a numerical failure, with no CSV written
+    # gamma = 1e-152 .. 1e150: a numerical failure, with no CSV written,
+    # and its one error line is the refusal, not a NumPy warning
     assert cli.main(["spectrum", "--v", "2", "--delta", "2", "--gamma",
                      gamma, "--out", str(tmp_path / "s.csv")]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    refusal = {"1e-155": "spectrum is NaN at gamma=1e-155",
+               "1e152": "spectrum's total power is inf"}[gamma]
+    assert capsys.readouterr().err == f"error: {refusal}\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -665,6 +667,6 @@ def test_figures_cli(tmp_path):
     out = tmp_path / "fig1"
     code, stdout, _ = run_cli("figures", "1", "--out", str(out))
     assert code == 0
-    assert "wrote 13 files" in stdout
+    assert "wrote 12 files" in stdout
     assert (out / "population_v1_d0.csv").exists()
-    assert (out / "plot_figures.py").exists()
+    assert not (out / "plot_figures.py").exists()

@@ -187,10 +187,9 @@ SWEEP_CONFIGS = {
     "v_min-str": {**GRID, "v_min": "0.1"},
 }
 
-# each runs in its own interpreter, since a zero or negative tolerance
-# once never returned (so library calls take only a NaN one); {tmp} is
-# the test's directory, which holds the configs cfg.json and
-# sweep-<key>.json for each key of SWEEP_CONFIGS
+# each runs through cli.main in process; {tmp} is the test's directory,
+# which holds the configs cfg.json and sweep-<key>.json for each key of
+# SWEEP_CONFIGS
 COMMAND_LINE = {
     "boundary-tol-zero": ("--tol", ["boundary", "--delta-count", "2",
                                     "--tol", "0", "--out", "{tmp}/b.csv"]),
@@ -246,7 +245,7 @@ COMMAND_LINE = {
 
 @pytest.mark.parametrize("case", [*(f"library:{k}" for k in LIBRARY),
                                   *(f"cli:{k}" for k in COMMAND_LINE)])
-def test_bad_input_is_rejected(case, tmp_path):
+def test_bad_input_is_rejected(case, tmp_path, capsys):
     route, name = case.split(":")
     if route == "library":
         field, call = LIBRARY[name]
@@ -259,12 +258,11 @@ def test_bad_input_is_rejected(case, tmp_path):
                   for key, config in SWEEP_CONFIGS.items()}}
     for config_name, config in configs.items():
         (tmp_path / config_name).write_text(json.dumps(config))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cavityflux.cli",
-         *(a.format(tmp=tmp_path) for a in argv)],
-        capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert field in proc.stderr
+    with pytest.raises(SystemExit) as info:
+        cli.main([a.format(tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert info.value.code == 2, err
+    assert field in err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(configs)
 
 

@@ -447,18 +447,38 @@ def test_closed_form_spectrum_at_extreme_gamma(scaled_point, gamma):
     assert got.prominence == pytest.approx(ref.prominence, rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("gamma", [1e-155, 1e152])
 def test_spectrum_out_of_float_range_raises(scaled_point, gamma):
-    # below, f's t^2 overflows to NaN, and classify refuses too; above,
-    # the total power overflows, which classify's scale-free search does
-    # not reach (its row is in test_closed_form_spectrum_at_extreme_gamma)
+    # below, f's t^2 overflows to NaN; above, the total power overflows;
+    # neither warns, and classify, which searches in units of gamma,
+    # reads the line at both
     params, dt = scaled_point(2.0, 2.0, gamma)
     with pytest.raises(ArithmeticError):
         dominant_peak(analytic_spectrum(params, dt))
-    if gamma < 1.0:
-        with pytest.raises(FloatingPointError):
-            classify(params, 1.817 * gamma, dt=dt)
+    ref, _ = scaled_point(2.0, 2.0, 1.0)
+    assert classify(params, 1.817 * gamma, dt=dt).omega_peak / gamma == (
+        pytest.approx(classify(ref, 1.817).omega_peak, rel=1e-13))
+
+
+@settings(max_examples=100)
+@example(point=(1.0, 0.3), log_gamma=160.0)
+@example(point=(1.0, 0.3), log_gamma=200.0)
+@example(point=(1.0, 0.3), log_gamma=-155.0)
+@example(point=(1.0, 0.3), log_gamma=-300.0)
+@given(point=SPECTRUM_POINTS, log_gamma=st.floats(-307.0, 307.0))
+def test_analytic_line_in_units_of_gamma(scaled_point, point, log_gamma):
+    # the line is searched in units of gamma, so at any gamma > 0 it is
+    # the line at gamma = 1 of the point as the scaled inputs hold it;
+    # unscaled, it left float range past gamma = 1e152 and below 1e-152
+    gamma = 10.0 ** log_gamma
+    params, dt = scaled_point(*point, gamma)
+    got = classify(params, 1.817 * gamma, dt=dt)
+    ref = classify(ModelParams(v=params.v / gamma, delta=params.delta / gamma,
+                               t_max=params.t_max * gamma), 1.817,
+                   dt=dt * gamma)
+    assert got.note is None
+    assert got.omega_peak / gamma == pytest.approx(ref.omega_peak, rel=1e-13)
+    assert got.prominence == pytest.approx(ref.prominence, rel=1e-13)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1e-4, 0.1, 10.0])
@@ -501,7 +521,7 @@ def test_tail_bound_covers_the_bins_left(point, horizon, start):
     # tail(k0)
     params = ModelParams(v=point[0], delta=point[1], t_max=horizon[0])
     n = round(horizon[0] / horizon[1]) + 1
-    bins, tail = spectrum._shape_dft(params, splitting(params), n,
+    bins, tail = spectrum._shape_dft(params.gamma, splitting(params), n,
                                      horizon[1])
     size = np.abs(bins(np.arange(1, n // 2 + 1)))
     k0 = 1 + round(start * (n // 2 - 1))
@@ -509,15 +529,14 @@ def test_tail_bound_covers_the_bins_left(point, horizon, start):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("v, c0, gamma, error", [
-    (0.0, 1.0, 1.0, NoSignal),
-    (1.0, 0.0, 1.0, NoSignal),
-    (2.0e-155, 1.0, 1e-155, FloatingPointError),
+@pytest.mark.parametrize("params, dt, error", [
+    (ModelParams(v=0.0, delta=2.0), DEFAULT_DT, NoSignal),
+    (ModelParams(v=1.0, delta=2.0, c0_init=0.0), DEFAULT_DT, NoSignal),
+    # a horizon of 1e160 / gamma: f's t^2 overflows to NaN in units of
+    # gamma too
+    (ModelParams(v=0.1, delta=0.0, t_max=1e160), 1e157, FloatingPointError),
 ], ids=["v", "c0", "nan"])
-def test_lazy_peak_refuses_as_every_bin_does(v, c0, gamma, error):
-    params = ModelParams(v=v, delta=2.0 * gamma, gamma=gamma, c0_init=c0,
-                         t_max=DEFAULT_T_MAX / gamma)
-    dt = DEFAULT_DT / gamma
+def test_lazy_peak_refuses_as_every_bin_does(params, dt, error):
     with pytest.raises(error):
         spectrum._analytic_peak(params, dt)
     with pytest.raises(error):

@@ -6,7 +6,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -17,13 +17,17 @@ from cavityflux.spectrum import classify
 from cavityflux.sweep import (
     SweepConfig,
     UnknownFigure,
-    _cell_seed,
     figure_datasets,
     run_sweep,
 )
-from cavityflux.trajectories import estimate_flux
+from cavityflux.trajectories import estimate_flux, philox_keys
 
 OMEGA_M = 1.8170
+
+
+def _numpy_seed_word(master_seed, index):
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
+    return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
 def _config(**kwargs):
@@ -116,6 +120,8 @@ def test_sweep_in_units_of_gamma():
 
 
 @settings(max_examples=100)
+# past gamma = 1e152 the unscaled spectrum underflowed to "zero flux"
+@example(v=(1.0, 1.0), delta=(0.0, 0.3), log_gamma=200.0)
 @given(v=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 2.0)),
        delta=st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 3.0)),
        log_gamma=st.floats(-12.0, 3.0))
@@ -260,7 +266,8 @@ def test_cell_seed_index_is_delta_major():
             params = ModelParams(v=float(v), delta=float(delta),
                                  t_max=cfg.t_max)
             flux = estimate_flux(params, cfg.n_traj, cfg.bin_width,
-                                 _cell_seed(cfg.master_seed, index), cfg.dt)
+                                 _numpy_seed_word(cfg.master_seed, index),
+                                 cfg.dt)
             verdict = classify(params, cfg.omega_threshold,
                                min_prominence=cfg.min_prominence, flux=flux,
                                ground_truth=True, dt=cfg.dt, eps_n=cfg.eps_n)
@@ -272,11 +279,12 @@ def test_cell_seed_index_is_delta_major():
 
 
 @pytest.mark.parametrize("master_seed,cell_index",
-                         [(0, 0), (7, 3), (2**40, 99), (2**64 + 1, 2499)])
+                         [(0, 0), (7, 3), (2**40, 99), (2**64 + 1, 2499),
+                          (3**90, 17), (5, 2**32 - 1), (3**90, 2**32 - 1)])
 def test_cell_seed_is_numpy_seed_sequence_word(master_seed, cell_index):
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(cell_index,))
-    assert _cell_seed(master_seed, cell_index) == int(
-        seq.generate_state(1, dtype=np.uint64)[0])
+    # a sampled cell k seeds from word 0 of philox_keys(master_seed, k)
+    words = philox_keys(master_seed, np.array([cell_index], dtype=np.uint32))
+    assert int(words[0][0]) == _numpy_seed_word(master_seed, cell_index)
 
 
 def test_worker_count_does_not_change_results(tmp_path, monkeypatch):
@@ -370,7 +378,8 @@ def test_figure1_datasets(tmp_path, monkeypatch):
     names = {p.name for p in paths}
     assert len([n for n in names if n.startswith("population_")]) == 6
     assert len([n for n in names if n.startswith("flux_")]) == 6
-    assert "plot_figures.py" in names
+    assert "plot_figures.py" not in names
+    assert not (tmp_path / "plot_figures.py").exists()
     for p in paths:
         assert p.exists()
     resonant = np.genfromtxt(tmp_path / "flux_v1_d0.csv", delimiter=",",
@@ -390,8 +399,8 @@ def test_figure2_datasets(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep, "FIG2_DT", 0.1)
     paths = figure_datasets(2, tmp_path)
     names = {p.name for p in paths}
-    assert {"sign_map_delta.csv", "sign_map_v.csv",
-            "plot_figures.py"} <= names
+    assert names == {"sign_map_delta.csv", "sign_map_v.csv"}
+    assert not (tmp_path / "plot_figures.py").exists()
     frame = np.genfromtxt(tmp_path / "sign_map_delta.csv", delimiter=",",
                           names=True)
     assert frame.dtype.names == ("t", "delta", "c_pos", "b_pos")

@@ -26,12 +26,12 @@ from cavityflux.trajectories import (
     PartialBinWarning,
     _invert_survival,
     _philox4x64,
-    _philox_keys,
     _survival_and_mode,
     _survival_grid,
     analytic_flux_at_bins,
     estimate_flux,
     flux_residual_stats,
+    philox_keys,
     sample_jump_times,
     survival_at,
     trajectory_seed,
@@ -113,7 +113,7 @@ def test_uniforms_match_numpy_streams(master_seed):
     # keys over the whole single-word index range, the top included
     high = np.append(rng.integers(MAX_TRAJECTORIES, size=31,
                                   dtype=np.uint32), np.uint32(2**32 - 1))
-    k0, k1 = _philox_keys(master_seed, high)
+    k0, k1 = philox_keys(master_seed, high)
     expected = np.array([trajectory_seed(master_seed, int(i))
                          .generate_state(2, np.uint64) for i in high])
     assert_array_equal(k0, expected[:, 0])
